@@ -22,24 +22,17 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .fokkerplanck import (auto_grid, default_dt, discrete_stationary,
-                           fp_evolve, state_from_density)
-from .metrics import TimeSeries, empirical_cdf, w1_density
+from .escape import escape_run
 from .model import BUILTIN_MODELS, ScalarMeanFieldModel, build_model
-from .numerics import fit_exp_rate
-from .particles import SimConfig, evolve, make_ensemble
-from .perturb import make_perturbation, perturbed_measure, sample_measure, truncate_center
-from .spectrum import (base_spectrum, build_basis, coupling_vectors,
-                       dirichlet_matrix, secular_function, solve_secular,
-                       unstable_mode)
+from .spectrum import analyze_branch, secular_function
 from .stationary import (GridSpec, build_gibbs, critical_sigma,
-                         default_scan_range, make_rule, self_consistent_roots)
+                         self_consistent_roots)
 
 SCHEMA_VERSION = "1"
 
@@ -319,13 +312,9 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _analyze_root(model, m_root, cfg: ExperimentConfig):
-    gibbs = build_gibbs(model, m_root, cfg.grid_spec())
-    basis = build_basis(gibbs, cfg.basis_degree)
-    spectrum = base_spectrum(dirichlet_matrix(gibbs, basis))
-    coupling = coupling_vectors(gibbs, basis, spectrum)
-    mode = unstable_mode(spectrum, coupling)
-    return gibbs, basis, spectrum, coupling, mode
+def _analyze(model, m_root, cfg: ExperimentConfig):
+    return analyze_branch(build_gibbs(model, m_root, cfg.grid_spec()),
+                          cfg.basis_degree)
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
@@ -340,7 +329,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     blocks = []
     files = []
     for i, m_root in enumerate(targets):
-        _, _, spectrum, coupling, mode = _analyze_root(model, m_root, cfg)
+        br = _analyze(model, m_root, cfg)
+        spectrum, coupling, mode = br.spectrum, br.coupling, br.mode
         lams = np.linspace(0.0, max(1.0, 3 * spectrum.values[1]), 201)
         svals = [secular_function(spectrum, coupling, l) for l in lams]
         files.append(write_csv(cfg.out_dir, f"secular_root{i}.csv",
@@ -367,11 +357,6 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_custom_direction(path, gibbs):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return np.interp(gibbs.rule.nodes, data["x"], data["h"])
-
-
 def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
     model = cfg.build()
     seed = cfg.seed if seed is None else seed
@@ -379,9 +364,9 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
                                 n_scan=cfg.n_scan, grid_spec=cfg.grid_spec())
     order = np.argsort(rep.s0_per_root)[::-1]
     m_root = rep.roots[int(order[0])]
-    gibbs, basis, spectrum, coupling, mode = _analyze_root(model, m_root, cfg)
+    branch = _analyze(model, m_root, cfg)
     files: list[str] = []
-    if mode.verdict != "unstable":
+    if branch.mode.verdict != "unstable":
         files.append(write_report(cfg.out_dir, "instability.json", {
             "command": "instability",
             "model": _model_block(model),
@@ -393,128 +378,42 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
               "spectral abscissa")
         return 0
 
-    delta = cfg.delta
-    if cfg.direction == "custom-file":
-        if not cfg.custom_file:
-            raise ValueError("direction=custom-file needs custom_file=...")
-        h = _load_custom_direction(cfg.custom_file, gibbs)
-        from .perturb import PerturbationSpec, default_truncation_level
-        coeff = (basis.node_values * (gibbs.rule.weights * gibbs.density)) @ h
-        M = cfg.trunc_M or default_truncation_level(gibbs, h)
-        g_M, gamma = truncate_center(gibbs, h, M)
-        center = float(gibbs.moment(np.clip(h, -M, M)))
-        pspec = PerturbationSpec(basis=basis, h_poly=coeff, M=float(M),
-                                 center=center, delta=delta,
-                                 gamma_check=gamma, label="custom-file")
-        mu_delta = perturbed_measure(gibbs, g_M, delta)
-    else:
-        pspec, mu_delta = make_perturbation(gibbs, basis, spectrum, mode,
-                                            delta=delta,
-                                            direction=cfg.direction,
-                                            M=cfg.trunc_M)
-
-    fstar_poly = spectrum.vectors @ mode.f_star
-    fstar_nodes = basis.eval_series(fstar_poly, gibbs.rule.nodes)
-    fstar_ref = gibbs.moment(fstar_nodes)
-    c0 = delta * gibbs.moment(pspec.g_M_at(gibbs.rule.nodes) * fstar_nodes)
-    band = 10.0 * delta
-    stop_level = cfg.stop_band_factor * band
-
-    if cfg.engine == "fp":
-        grid = auto_grid(model, m_values=tuple(rep.roots) + (0.0,),
-                         n_cells=cfg.n_cells)
-        ss = discrete_stationary(model, grid, m_root)
-        rho0 = ss.rho * (1.0 + delta * pspec.g_M_at(grid.centers))
-        st = state_from_density(rho0, model, grid)
-        dt = cfg.dt or default_dt(model, grid)
-        fstar_grid = basis.eval_series(fstar_poly, grid.centers)
-        fstar_inf = float(np.dot(fstar_grid, ss.rho) * grid.dx)
-        ref_cdf = np.cumsum(ss.rho) * grid.dx
-        edges_x = grid.centers
-
-        def w1_obs_rho(rho):
-            return w1_density(edges_x, np.cumsum(rho) * grid.dx, ref_cdf)
-
-        series, frames = fp_evolve(
-            st, model, grid, t_end=cfg.t_end, dt=dt,
-            observers={"fstar": lambda x: fstar_grid}, stride=cfg.stride,
-            store_frames=True,
-            stop_condition=lambda t, m: abs(m - ss.m) > stop_level)
-        w1_ser = np.array([w1_obs_rho(r) for r in frames.rhos])
-        m_ser = series["m"]
-        m_center = ss.m
-        pair = series["fstar"] - fstar_inf
-    else:
-        xs = sample_measure(mu_delta, cfg.n_particles, seed=seed)
-        nodes, ref_cdf = gibbs.rule.nodes, gibbs.cdf
-        obs = {
-            "fstar": lambda p: float(np.mean(np.interp(p, nodes, fstar_nodes))),
-            "w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes), ref_cdf),
-        }
-        sim = SimConfig(
-            dt=cfg.dt, t_end=cfg.t_end, n_particles=cfg.n_particles,
-            seed=seed, observers=obs, stride=cfg.stride,
-            stop_condition=lambda t, m: abs(m - m_root) > stop_level)
-        series = evolve(make_ensemble(xs, model, seed=seed), model, sim)
-        w1_ser = series["w1"]
-        m_ser = series["m_hat"]
-        m_center = m_root
-        pair = series["fstar"] - fstar_ref
-
-    apair = np.abs(pair)
-    escape = np.abs(m_ser - m_center) > band
-    escape_time = float(series.times[escape][0]) if escape.any() else None
-    side = np.sign(m_ser[-1] - m_center)
-    same_side = [r for r in rep.roots
-                 if abs(r - m_root) > band and np.sign(r - m_center) == side]
-    if escape.any() and same_side:
-        # the branch being approached on the departure side
-        final_branch = float(min(same_side, key=lambda r: abs(r - m_center)))
-    else:
-        final_branch = float(min(rep.roots, key=lambda r: abs(r - m_ser[-1])))
+    res = escape_run(branch, rep.roots, engine=cfg.engine, delta=cfg.delta,
+                     t_end=cfg.t_end, stride=cfg.stride,
+                     stop_band_factor=cfg.stop_band_factor, dt=cfg.dt,
+                     n_cells=cfg.n_cells, n_particles=cfg.n_particles,
+                     seed=seed, direction=cfg.direction, M=cfg.trunc_M,
+                     custom_file=cfg.custom_file)
+    t, m, pair, w1 = (res.series.times, res.series["m"],
+                      res.series["pairing"], res.series["w1"])
     files.append(write_csv(cfg.out_dir, "series.csv",
-                           ["t", "m", "fstar_pairing", "w1"],
-                           [series.times, m_ser, pair, w1_ser]))
+                           ["t", "m", "fstar_pairing", "w1"], [t, m, pair, w1]))
     files.append(svg_line_plot(
         os.path.join(cfg.out_dir, "instability.svg"),
-        f"escape from the branch at m={m_center:.4g}", "t", "value",
-        [("|pairing|", series.times, apair),
-         ("|m - m_root|", series.times, np.abs(m_ser - m_center)),
-         ("W1", series.times, w1_ser)], logy=True))
-
-    status = "ok"
-    fitted = rel_err = None
-    lo, hi = 2 * abs(c0), 10 * abs(c0)
-    window = (apair >= lo) & (apair <= hi) if c0 != 0 else np.zeros_like(
-        apair, dtype=bool)
-    if c0 == 0 or window.sum() < 3:
-        status = "inconclusive"
-    else:
-        t_lo = float(series.times[window][0])
-        t_hi = float(series.times[window][-1])
-        fitted = fit_exp_rate(series.times, apair, (t_lo, t_hi))
-        rel_err = abs(fitted - mode.lambda_star) / mode.lambda_star
+        f"escape from the branch at m={res.m_center:.4g}", "t", "value",
+        [("|pairing|", t, np.abs(pair)),
+         ("|m - m_root|", t, np.abs(m - res.m_center)),
+         ("W1", t, w1)], logy=True))
     files.append(write_report(cfg.out_dir, "instability.json", {
         "command": "instability",
         "model": _model_block(model),
-        "status": status,
+        "status": res.status,
         "m_root": float(m_root),
         "engine": cfg.engine,
-        "delta": delta,
+        "delta": cfg.delta,
         "seed": seed,
-        "lambda_star": float(mode.lambda_star),
-        "initial_pairing": float(c0),
-        "fitted_rate": None if fitted is None else float(fitted),
-        "relative_error": None if rel_err is None else float(rel_err),
-        "escape_time": escape_time,
-        "final_branch": final_branch,
-        "w1_initial": float(w1_ser[0]),
-        "w1_final": float(w1_ser[-1]),
-        "w1_at_escape": None if escape_time is None
-        else float(w1_ser[escape][0]),
+        "lambda_star": float(branch.mode.lambda_star),
+        "initial_pairing": res.initial_pairing,
+        "fitted_rate": res.fitted_rate,
+        "relative_error": res.relative_error,
+        "escape_time": res.escape_time,
+        "final_branch": res.final_branch,
+        "w1_initial": float(w1[0]),
+        "w1_final": float(w1[-1]),
+        "w1_at_escape": res.w1_at_escape,
     }))
     write_manifest(cfg.out_dir, "instability", files)
-    if status == "inconclusive":
+    if res.status == "inconclusive":
         print("inconclusive: the observable never traversed the fit window")
         return 2
     return 0
@@ -530,8 +429,7 @@ def _sweep_point(model, sigma, cfg):
     s0 = rep.s0_per_root[i0]
     lam = None
     try:
-        _, _, spectrum, coupling, mode = _analyze_root(mdl, m0, cfg)
-        lam = mode.lambda_star
+        lam = _analyze(mdl, m0, cfg).mode.lambda_star
     except ValueError:
         pass
     m_plus = max(rep.roots)

@@ -72,16 +72,12 @@ class FpState:
         return float(self.rho.sum() * grid.dx)
 
 
-def coupling_of(rho: np.ndarray, model: ScalarMeanFieldModel,
-                grid: FpGrid) -> float:
-    return float(np.dot(model.g(grid.centers), rho) * grid.dx)
-
-
 def state_from_density(rho, model: ScalarMeanFieldModel, grid: FpGrid,
                        t: float = 0.0) -> FpState:
     rho = np.asarray(rho, dtype=float)
     rho = rho / (rho.sum() * grid.dx)
-    return FpState(rho=rho, t=float(t), m=coupling_of(rho, model, grid))
+    return FpState(rho=rho, t=float(t),
+                   m=float(np.dot(model.g(grid.centers), rho) * grid.dx))
 
 
 def init_from_model(model: ScalarMeanFieldModel, grid: FpGrid,
@@ -127,34 +123,37 @@ class FpStepper:
         c_minus = self.D / dx - b * delta           # multiplies rho_{i+1}
         return c_plus, c_minus
 
-    def step(self, state: FpState, dt: float) -> FpState:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+    def implicit_band(self, m: float, dt: float) -> np.ndarray:
+        """Backward Euler matrix I - dt A at frozen m, in solve_banded form.
+
+        A is the flux divergence: row i gains c_minus/dx rho_{i+1} and
+        c_plus/dx rho_{i-1} and loses the outflow through both interfaces.
+        """
         n = self.grid.n_cells
         dx = self.grid.dx
-        c_plus, c_minus = self.flux_coefficients(state.m)
-
-        # backward Euler on the flux divergence: (I - dt A) rho_new = rho
-        lower = np.zeros(n)
-        upper = np.zeros(n)
+        c_plus, c_minus = self.flux_coefficients(m)
         diag = np.zeros(n)
         diag[:-1] -= c_plus / dx
         diag[1:] -= c_minus / dx
-        upper[1:] = c_minus / dx
-        lower[:-1] = c_plus / dx
         ab = np.zeros((3, n))
-        ab[0, 1:] = -dt * upper[1:]
+        ab[0, 1:] = -dt * (c_minus / dx)
         ab[1] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * lower[:-1]
+        ab[2, :-1] = -dt * (c_plus / dx)
+        return ab
+
+    def step(self, state: FpState, dt: float) -> FpState:
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         try:
-            rho_new = solve_banded((1, 1), ab, state.rho)
+            rho_new = solve_banded((1, 1), self.implicit_band(state.m, dt),
+                                   state.rho)
         except np.linalg.LinAlgError as exc:
             raise SchemeError(f"tridiagonal solve failed: {exc}") from exc
         if rho_new.min() < -1e-14:
             raise SchemeError(
                 f"negative density {rho_new.min():.3e} at "
                 f"t={state.t + dt:.6g}")
-        m_new = float(np.dot(self.g_centers, rho_new) * dx)
+        m_new = float(np.dot(self.g_centers, rho_new) * self.grid.dx)
         return FpState(rho=rho_new, t=state.t + dt, m=m_new)
 
     def steady_profile(self, m: float) -> np.ndarray:
@@ -164,13 +163,6 @@ class FpStepper:
         logr = np.concatenate([[0.0], np.cumsum(b * dx / self.D)])
         rho = np.exp(logr - logr.max())
         return rho / (rho.sum() * dx)
-
-
-def fp_step(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid,
-            dt: float) -> FpState:
-    """One semi-implicit step (one-shot helper; loops should reuse a
-    FpStepper, which caches the interface geometry)."""
-    return FpStepper(model, grid).step(state, dt)
 
 
 def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
@@ -192,74 +184,41 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
     return grid.dx / (2.0 * max(bmax, 1e-12))
 
 
-@dataclass(frozen=True)
-class FpFrames:
-    """Stored density snapshots for after-the-fact observable pairing."""
-
-    grid: FpGrid
-    times: np.ndarray
-    rhos: np.ndarray     # shape (n_frames, n_cells)
-
-    def cdfs(self) -> np.ndarray:
-        return np.cumsum(self.rhos, axis=1) * self.grid.dx
-
-
 def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid,
               t_end: float, dt: float,
               observers: dict[str, Callable] | None = None,
-              stride: int = 1, store_frames: bool = False,
-              stop_condition: Callable[[float, float], bool] | None = None):
-    """Evolve to t_end recording (t, m, observer integrals) per stride.
+              stride: int = 1,
+              stop_condition: Callable[[float, float], bool] | None = None
+              ) -> TimeSeries:
+    """Evolve to t_end recording (t, m, observer values) per stride.
 
-    Observers are functions of x, tabulated on cell centers and paired
-    with the density by the midpoint rule.  Returns a TimeSeries, plus
-    an FpFrames bundle when ``store_frames`` is set.
+    As for the particle engine, observers map channel names to functions
+    of the state array returning one float; here the state array is the
+    cell density.  The first record is the initial state; afterwards one
+    record lands every ``stride`` steps and at the final step.
     """
     stepper = FpStepper(model, grid)
     observers = observers or {}
     names = sorted(observers)
-    tab = {k: np.asarray(observers[k](grid.centers), dtype=float)
-           for k in names}
-
-    def record(st, times, ms, obs, rhos):
-        times.append(st.t)
-        ms.append(st.m)
-        for k in names:
-            obs[k].append(float(np.dot(tab[k], st.rho) * grid.dx))
-        if store_frames:
-            rhos.append(st.rho.copy())
+    times = [state.t]
+    ms = [state.m]
+    obs = {k: [float(observers[k](state.rho))] for k in names}
 
     n_steps = int(np.ceil(t_end / dt - 1e-12))
-    times: list[float] = []
-    ms: list[float] = []
-    obs: dict[str, list[float]] = {k: [] for k in names}
-    rhos: list[np.ndarray] = []
-    record(state, times, ms, obs, rhos)
     cur = state
     for s in range(1, n_steps + 1):
         cur = stepper.step(cur, dt)
         if s % stride == 0 or s == n_steps:
-            record(cur, times, ms, obs, rhos)
+            times.append(cur.t)
+            ms.append(cur.m)
+            for k in names:
+                obs[k].append(float(observers[k](cur.rho)))
             if stop_condition is not None and stop_condition(cur.t, cur.m):
                 break
 
     channels = {"m": np.array(ms)}
     channels.update({k: np.array(v) for k, v in obs.items()})
-    series = TimeSeries(times=np.array(times), channels=channels)
-    if store_frames:
-        return series, FpFrames(grid=grid, times=series.times,
-                                rhos=np.array(rhos))
-    return series
-
-
-def observable_series(frames: FpFrames, f) -> TimeSeries:
-    """Pair a tabulated observable with every stored frame (midpoint rule)."""
-    vals = np.asarray(f(frames.grid.centers) if callable(f) else f,
-                      dtype=float)
-    if vals.shape != frames.grid.centers.shape:
-        raise ValueError("observable values do not match the grid")
-    pairing = frames.rhos @ vals * frames.grid.dx
-    return TimeSeries(times=frames.times, channels={"value": pairing})
+    return TimeSeries(times=np.array(times), channels=channels)
 
 
 def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,
@@ -292,24 +251,18 @@ def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,
 
 def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
                      grid: FpGrid, rho_inf: np.ndarray, m_inf: float,
-                     t_end: float, dt: float, stride: int = 1) -> FpFrames:
+                     t_end: float, dt: float, stride: int = 1) -> TimeSeries:
     """Linearized transport of a zero-mass signed density nu.
 
     Coefficients are frozen at the stationary state: nu feels the frozen
     flux operator plus the rank-one source -d/dx(beta c rho_inf) * (nu, g)
-    discretized in flux form, so the total signed mass stays zero.
+    discretized in flux form, so the total signed mass stays zero.  The
+    channel ``nu`` holds one row of cell values per record.
     """
     stepper = FpStepper(model, grid)
-    c_plus, c_minus = stepper.flux_coefficients(m_inf)
+    ab = stepper.implicit_band(m_inf, dt)
     n = grid.n_cells
     dx = grid.dx
-    ab = np.zeros((3, n))
-    diag = np.zeros(n)
-    diag[:-1] -= c_plus / dx
-    diag[1:] -= c_minus / dx
-    ab[0, 1:] = -dt * c_minus / dx
-    ab[1] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * c_plus / dx
 
     rho_if = 0.5 * (rho_inf[:-1] + rho_inf[1:])
     src_flux = model.beta * stepper.c_if * rho_if
@@ -329,4 +282,4 @@ def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
         if s % stride == 0 or s == n_steps:
             times.append(s * dt)
             frames.append(nu.copy())
-    return FpFrames(grid=grid, times=np.array(times), rhos=np.array(frames))
+    return TimeSeries(times=np.array(times), channels={"nu": np.array(frames)})

@@ -12,7 +12,7 @@ at m; it satisfies the gradient identity (sigma^2/2) d/dx log_gibbs = b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,19 +65,6 @@ class ScalarMeanFieldModel:
         return build_model(self.name,
                            beta=self.beta if beta is None else beta,
                            sigma=self.sigma if sigma is None else sigma)
-
-
-def drift(model: ScalarMeanFieldModel, x, m: float):
-    return model.drift(x, m)
-
-
-def linear_functional_derivative(model: ScalarMeanFieldModel, x, z, m: float):
-    return model.linear_functional_derivative(x, z, m)
-
-
-def log_gibbs_density(model: ScalarMeanFieldModel, x, m: float):
-    """Unnormalized stationary log-density of the frozen-coupling SDE."""
-    return model.log_gibbs(np.asarray(x, dtype=float), m)
 
 
 def _u0(x):

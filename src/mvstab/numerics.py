@@ -173,10 +173,6 @@ class DenseSpectrum:
     left_vectors: np.ndarray
     abscissa: float = field(default=0.0)
 
-    @property
-    def dominant_index(self) -> int:
-        return int(np.argmax(self.values.real))
-
 
 def dense_spectrum(M: np.ndarray) -> DenseSpectrum:
     """Complex eigenvalues with right and left eigenvectors."""

@@ -13,7 +13,7 @@ so runs are bit-identical for a fixed seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import json
@@ -21,7 +21,6 @@ import numpy as np
 
 from .metrics import TimeSeries
 from .model import ScalarMeanFieldModel
-from .stationary import auto_half_width
 
 
 class BlowUpError(RuntimeError):

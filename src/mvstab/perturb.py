@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .spectrum import GeneratorSpectrum, SpectralBasis, UnstableMode
+from .spectrum import BranchAnalysis, SpectralBasis
 from .stationary import GibbsMeasure, node_cdf
 
 
@@ -118,38 +118,48 @@ class PerturbationSpec:
         return np.clip(vals, -self.M, self.M) - self.center
 
 
-def make_perturbation(gibbs: GibbsMeasure, basis: SpectralBasis,
-                      spectrum: GeneratorSpectrum, mode: UnstableMode,
-                      delta: float, direction: str = "adjoint-re",
-                      M: float | None = None):
-    """Build the perturbation along the dominant adjoint eigenvector.
+def make_perturbation(branch: BranchAnalysis, delta: float,
+                      direction: str = "adjoint-re", M: float | None = None,
+                      custom_file: str | None = None):
+    """Build the perturbation of a branch along one direction.
 
-    Returns (PerturbationSpec, PerturbedMeasure).  Direction
-    "adjoint-im" is only available when the dominant eigenvalue has a
-    genuine imaginary part; for a real simple eigenvalue that direction
-    degenerates to the unperturbed law.
+    Returns (PerturbationSpec, PerturbedMeasure).  "adjoint-re" and
+    "adjoint-im" take the real or imaginary part of the dominant adjoint
+    eigenvector; "adjoint-im" is only available when the dominant
+    eigenvalue has a genuine imaginary part, since for a real simple
+    eigenvalue that direction degenerates to the unperturbed law.
+    "custom-file" reads h from a CSV file with columns x,h, interpolated
+    linearly onto the quadrature nodes.  ``M=None`` selects
+    ``default_truncation_level``.
     """
-    u = np.asarray(mode.adjoint_vec)
-    if direction == "adjoint-re":
-        coeff_eig = u.real.astype(float)
-    elif direction == "adjoint-im":
-        if not np.iscomplexobj(u) or np.abs(u.imag).max() < 1e-12:
-            raise ValueError(
-                "the dominant eigenvalue is real, the imaginary-part "
-                "direction degenerates to the stationary law")
-        coeff_eig = u.imag.astype(float)
+    gibbs, basis = branch.gibbs, branch.basis
+    if direction == "custom-file":
+        if not custom_file:
+            raise ValueError("direction=custom-file needs custom_file=...")
+        data = np.genfromtxt(custom_file, delimiter=",", names=True)
+        h_vals = np.interp(gibbs.rule.nodes, data["x"], data["h"])
+        mu = gibbs.rule.weights * gibbs.density
+        h_poly = (basis.node_values * mu) @ h_vals
     else:
-        raise ValueError(f"unknown direction {direction!r}")
-    # constants do not perturb a probability law
-    coeff_eig = coeff_eig.copy()
-    coeff_eig[0] = 0.0
-    nrm = np.linalg.norm(coeff_eig)
-    if nrm == 0:
-        raise ValueError("perturbation direction is identically constant")
-    coeff_eig /= nrm
-
-    h_poly = spectrum.vectors @ coeff_eig
-    h_vals = h_poly @ basis.node_values
+        u = np.asarray(branch.mode.adjoint_vec)
+        if direction == "adjoint-re":
+            coeff_eig = u.real.astype(float)
+        elif direction == "adjoint-im":
+            if not np.iscomplexobj(u) or np.abs(u.imag).max() < 1e-12:
+                raise ValueError(
+                    "the dominant eigenvalue is real, the imaginary-part "
+                    "direction degenerates to the stationary law")
+            coeff_eig = u.imag.astype(float)
+        else:
+            raise ValueError(f"unknown direction {direction!r}")
+        # constants do not perturb a probability law
+        coeff_eig[0] = 0.0
+        nrm = np.linalg.norm(coeff_eig)
+        if nrm == 0:
+            raise ValueError("perturbation direction is identically constant")
+        coeff_eig /= nrm
+        h_poly = branch.spectrum.vectors @ coeff_eig
+        h_vals = h_poly @ basis.node_values
     if M is None:
         M = default_truncation_level(gibbs, h_vals)
     g_M, gamma = truncate_center(gibbs, h_vals, M)

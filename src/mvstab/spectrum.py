@@ -328,6 +328,34 @@ def unstable_mode(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
                         defective_warning=k0 > 1, abscissa=re_max)
 
 
+@dataclass(frozen=True)
+class BranchAnalysis:
+    """The spectral chain of one stationary branch, from its Gibbs law
+    through the Galerkin basis and spectrum of -L to the rank-one
+    coupling and the unstable mode."""
+
+    gibbs: GibbsMeasure
+    basis: SpectralBasis
+    spectrum: GeneratorSpectrum
+    coupling: RankOneCoupling
+    mode: UnstableMode
+
+    def fstar_at(self, x) -> np.ndarray:
+        """The unstable observable f_star at arbitrary points."""
+        return self.basis.eval_series(self.spectrum.vectors @ self.mode.f_star,
+                                      x)
+
+
+def analyze_branch(gibbs: GibbsMeasure, degree: int) -> BranchAnalysis:
+    """Run the spectral chain on the branch whose Gibbs law is given."""
+    basis = build_basis(gibbs, degree)
+    spectrum = base_spectrum(dirichlet_matrix(gibbs, basis))
+    coupling = coupling_vectors(gibbs, basis, spectrum)
+    return BranchAnalysis(gibbs=gibbs, basis=basis, spectrum=spectrum,
+                          coupling=coupling,
+                          mode=unstable_mode(spectrum, coupling))
+
+
 def linearized_propagate(M: np.ndarray, coeffs: np.ndarray,
                          t: float) -> np.ndarray:
     """Apply exp(t M) to a coefficient vector (scaling and squaring).

@@ -11,7 +11,7 @@ noise level where the symmetric branch changes character.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,10 +162,6 @@ def build_gibbs(model: ScalarMeanFieldModel, m: float,
                         cdf=node_cdf(rule, density))
 
 
-def moment(gibbs: GibbsMeasure, f) -> float:
-    return gibbs.moment(f)
-
-
 def psi(model: ScalarMeanFieldModel, m: float,
         grid_spec: GridSpec | None = None,
         rule: QuadratureRule | None = None) -> float:
@@ -223,7 +219,10 @@ class SelfConsistencyReport:
     psi_at_scan: np.ndarray        # columns (m, psi(m))
     s0_per_root: list[float]
     fold_flags: list[bool]
-    branch_count: int = 0
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.roots)
 
 
 def self_consistent_roots(model: ScalarMeanFieldModel,
@@ -260,8 +259,7 @@ def self_consistent_roots(model: ScalarMeanFieldModel,
         dpsi = (f(r + h) - f(r - h)) / (2 * h)
         folds.append(abs(dpsi) < 1e-6)
     return SelfConsistencyReport(roots=roots, psi_at_scan=curve,
-                                 s0_per_root=s0, fold_flags=folds,
-                                 branch_count=len(roots))
+                                 s0_per_root=s0, fold_flags=folds)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@ import pytest
 
 from mvstab.model import cosine_model, dawson_model
 from mvstab.numerics import find_roots
-from mvstab.spectrum import (base_spectrum, build_basis, coupling_vectors,
-                             dirichlet_matrix, unstable_mode)
+from mvstab.spectrum import analyze_branch
 from mvstab.stationary import GridSpec, build_gibbs
 
 # frozen bisection value; cross-checked against the closed form
@@ -12,32 +11,18 @@ from mvstab.stationary import GridSpec, build_gibbs
 SIGMA_C_DAWSON_BETA1 = 0.9559775949676983
 
 
-class SpectralSetup:
-    """Gibbs measure plus the full spectral pipeline at one root."""
-
-    def __init__(self, model, m_root, degree, grid_spec=None):
-        self.model = model
-        self.m_root = m_root
-        self.gibbs = build_gibbs(model, m_root, grid_spec or GridSpec())
-        self.basis = build_basis(self.gibbs, degree)
-        self.K = dirichlet_matrix(self.gibbs, self.basis)
-        self.spectrum = base_spectrum(self.K)
-        self.coupling = coupling_vectors(self.gibbs, self.basis, self.spectrum)
-        self.mode = unstable_mode(self.spectrum, self.coupling)
-
-
 @pytest.fixture(scope="session")
 def dawson_sub():
     """Dawson family below the critical noise, at the symmetric root."""
     mdl = dawson_model(beta=1.0, sigma=0.8 * SIGMA_C_DAWSON_BETA1)
-    return SpectralSetup(mdl, 0.0, degree=80)
+    return analyze_branch(build_gibbs(mdl, 0.0), 80)
 
 
 @pytest.fixture(scope="session")
 def dawson_super():
     """Dawson family above the critical noise (unique stable branch)."""
     mdl = dawson_model(beta=1.0, sigma=1.2 * SIGMA_C_DAWSON_BETA1)
-    return SpectralSetup(mdl, 0.0, degree=80)
+    return analyze_branch(build_gibbs(mdl, 0.0), 80)
 
 
 @pytest.fixture(scope="session")
@@ -49,4 +34,4 @@ def cosine_unstable():
                        (-1, 1), 4001, 1e-13)
     m0 = next(r for r in roots if beta * np.sin(beta * r) < -np.sqrt(np.e)
               and r > 0)
-    return SpectralSetup(mdl, m0, degree=40, grid_spec=GridSpec(panel_degree=60))
+    return analyze_branch(build_gibbs(mdl, m0, GridSpec(panel_degree=60)), 40)

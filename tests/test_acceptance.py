@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from mvstab.escape import escape_run
 from mvstab.fokkerplanck import (auto_grid, default_dt, discrete_stationary,
                                  fp_evolve, state_from_density)
 from mvstab.metrics import empirical_cdf, w1_density, w1_empirical
@@ -19,10 +20,9 @@ from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import dense_spectrum, find_roots, fit_exp_rate
 from mvstab.particles import SimConfig, evolve, make_ensemble
 from mvstab.perturb import make_perturbation, sample_measure
-from mvstab.spectrum import (base_spectrum, build_basis, coupling_vectors,
+from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              dirichlet_matrix, full_generator_matrix,
-                             linearized_propagate, solve_secular,
-                             unstable_mode)
+                             linearized_propagate, solve_secular)
 from mvstab.stationary import (GridSpec, build_gibbs, critical_sigma, psi,
                                self_consistent_roots, stability_indicator)
 
@@ -44,25 +44,10 @@ def record(num, desc, ok, detail):
     assert ok, line
 
 
-class Pipeline:
-    def __init__(self, model, m_root, degree, grid_spec=None):
-        self.model = model
-        self.m_root = m_root
-        self.gibbs = build_gibbs(model, m_root, grid_spec or GridSpec())
-        self.basis = build_basis(self.gibbs, degree)
-        self.spectrum = base_spectrum(dirichlet_matrix(self.gibbs, self.basis))
-        self.coupling = coupling_vectors(self.gibbs, self.basis, self.spectrum)
-        self.mode = unstable_mode(self.spectrum, self.coupling)
-
-    def fstar_at(self, x):
-        poly = self.spectrum.vectors @ self.mode.f_star
-        return self.basis.eval_series(poly, x)
-
-
 @pytest.fixture(scope="module")
 def dawson08():
-    return Pipeline(dawson_model(beta=1.0, sigma=0.8 * SIGMA_C), 0.0,
-                    degree=120)
+    return analyze_branch(
+        build_gibbs(dawson_model(beta=1.0, sigma=0.8 * SIGMA_C), 0.0), 120)
 
 
 def cosine_psi_roots(model, n_scan=2001):
@@ -105,7 +90,8 @@ def test_c02_closed_form_growth_rate(cosine_unstable_root):
     assert targets, "no branch satisfies the instability inequality"
     worst_sec = worst_abs = 0.0
     for m0 in targets:
-        pipe = Pipeline(model, m0, degree=40, grid_spec=GridSpec(panel_degree=60))
+        pipe = analyze_branch(
+            build_gibbs(model, m0, GridSpec(panel_degree=60)), 40)
         closed = -1.0 - np.exp(-0.5) * beta * np.sin(beta * m0)
         lam = solve_secular(pipe.spectrum, pipe.coupling)
         M = full_generator_matrix(pipe.spectrum, pipe.coupling)
@@ -146,7 +132,7 @@ def test_c04_dawson_phase_structure():
     ok = ok and rep.branch_count == 3
     ok = ok and abs(rep.roots[0] + rep.roots[2]) < 1e-9
     ok = ok and rep.s0_per_root[1] > 1.0
-    pipe = Pipeline(sub, 0.0, degree=120)
+    pipe = analyze_branch(build_gibbs(sub, 0.0), 120)
     lam_sub = solve_secular(pipe.spectrum, pipe.coupling)
     ok = ok and lam_sub is not None and lam_sub > 0
 
@@ -154,7 +140,7 @@ def test_c04_dawson_phase_structure():
     rep_sup = self_consistent_roots(sup)
     ok = ok and rep_sup.branch_count == 1
     ok = ok and stability_indicator(sup, 0.0) < 1.0
-    pipe_sup = Pipeline(sup, 0.0, degree=120)
+    pipe_sup = analyze_branch(build_gibbs(sup, 0.0), 120)
     lam_sup = solve_secular(pipe_sup.spectrum, pipe_sup.coupling)
     ok = ok and lam_sup is None
     el = time.perf_counter() - t0
@@ -176,30 +162,20 @@ def test_c05_selfconsistency_equivalence():
            f"max deviation over 41 points = {dev:.2e}, {el:.1f}s")
 
 
-def _fp_escape_run(pipe, delta, t_end=60.0, n_cells=1600, stop_level=0.3):
-    model = pipe.model
-    pspec, _ = make_perturbation(pipe.gibbs, pipe.basis, pipe.spectrum,
-                                 pipe.mode, delta=delta)
-    grid = auto_grid(model, m_values=(0.0, 0.8), n_cells=n_cells)
-    ss = discrete_stationary(model, grid, pipe.m_root)
-    rho0 = ss.rho * (1.0 + delta * pspec.g_M_at(grid.centers))
-    st = state_from_density(rho0, model, grid)
-    fstar_grid = pipe.fstar_at(grid.centers)
-    fstar_inf = float(np.dot(fstar_grid, ss.rho) * grid.dx)
-    dt = default_dt(model, grid)
-    series = fp_evolve(st, model, grid, t_end=t_end, dt=dt,
-                       observers={"fstar": lambda x: fstar_grid},
-                       stride=20,
-                       stop_condition=lambda t, m: abs(m - ss.m) > stop_level)
-    pair = np.abs(series["fstar"] - fstar_inf)
-    return series.times, pair
+def _fp_escape_run(branch, roots, delta, t_end=60.0):
+    # a stop band factor of 30 lets the full-amplitude run go on to
+    # |m - m_root| = 0.3
+    res = escape_run(branch, roots, engine="fp", delta=delta, t_end=t_end,
+                     stride=20, stop_band_factor=30.0)
+    return res.series.times, np.abs(res.series["pairing"])
 
 
 def test_c06_linear_growth_rate(dawson08):
     t0 = time.perf_counter()
     lam = dawson08.mode.lambda_star
     delta = 1e-3
-    times, pair = _fp_escape_run(dawson08, delta)
+    roots = self_consistent_roots(dawson08.gibbs.model).roots
+    times, pair = _fp_escape_run(dawson08, roots, delta)
     c0 = pair[0]
     in_win = (pair >= 2 * c0) & (pair <= 10 * c0)
     rate = fit_exp_rate(times, pair,
@@ -209,7 +185,7 @@ def test_c06_linear_growth_rate(dawson08):
     # linearity: at the window-entry time of the full run, halving the
     # amplitude halves the observable
     t_ref = times[in_win][0]
-    times_h, pair_h = _fp_escape_run(dawson08, delta / 2,
+    times_h, pair_h = _fp_escape_run(dawson08, roots, delta / 2,
                                      t_end=t_ref + 1.0)
     v_full = float(np.interp(t_ref, times, pair))
     v_half = float(np.interp(t_ref, times_h, pair_h))
@@ -240,14 +216,12 @@ def test_c07_particle_escape(dawson08):
     #   rather than > 10.
     # The mean-field engine confirms the predicted escape in criterion 6.
     t0 = time.perf_counter()
-    model = dawson08.model
     gibbs = dawson08.gibbs
+    model = gibbs.model
     delta = 1e-3
     n = 100_000
     band = 10 * delta
-    pspec, mu_delta = make_perturbation(gibbs, dawson08.basis,
-                                        dawson08.spectrum, dawson08.mode,
-                                        delta=delta)
+    pspec, mu_delta = make_perturbation(dawson08, delta=delta)
     nodes = gibbs.rule.nodes
     fstar_nodes = dawson08.fstar_at(nodes)
     c0 = delta * gibbs.moment(pspec.g_M_at(nodes) * fstar_nodes)
@@ -286,26 +260,24 @@ def test_c08_outer_branch_stability(dawson08):
     # the same perturbation direction that destabilizes the symmetric
     # state, applied to the outer branch (re-centered under its law)
     t0 = time.perf_counter()
-    model = dawson08.model
+    model = dawson08.gibbs.model
     rep = self_consistent_roots(model)
     m_plus = rep.roots[-1]
     s0_plus = rep.s0_per_root[-1]
     delta = 1e-3
-    pspec, _ = make_perturbation(dawson08.gibbs, dawson08.basis,
-                                 dawson08.spectrum, dawson08.mode,
-                                 delta=delta)
+    pspec, _ = make_perturbation(dawson08, delta=delta)
     grid = auto_grid(model, m_values=(0.0, 0.8), n_cells=1600)
     ss = discrete_stationary(model, grid, m_plus)
     h_grid = np.clip(pspec.basis.eval_series(pspec.h_poly, grid.centers),
                      -pspec.M, pspec.M)
     g_M_grid = h_grid - float(np.dot(h_grid, ss.rho) * grid.dx)
     st = state_from_density(ss.rho * (1.0 + delta * g_M_grid), model, grid)
-    ref_cdf = np.cumsum(ss.rho) * grid.dx
-    series, frames = fp_evolve(st, model, grid, t_end=10.0,
-                               dt=default_dt(model, grid), stride=40,
-                               store_frames=True)
-    w1 = np.array([w1_density(grid.centers, c, ref_cdf)
-                   for c in frames.cdfs()])
+    x, ref_cdf = grid.centers, np.cumsum(ss.rho) * grid.dx
+    series = fp_evolve(st, model, grid, t_end=10.0,
+                       dt=default_dt(model, grid), stride=40,
+                       observers={"w1": lambda rho: w1_density(
+                           x, np.cumsum(rho) * grid.dx, ref_cdf)})
+    w1 = series["w1"]
     ratio = float(w1.max() / w1[0])
     el = time.perf_counter() - t0
     record(8, "outer branch absorbs the same perturbation",
@@ -327,7 +299,7 @@ def test_c09_engine_agreement(dawson08):
     # run is not enough: the particle mean of seed 0's noise increments
     # alone drifts to -3.8 SD by t ~ 1.6.
     t0 = time.perf_counter()
-    model = dawson08.model
+    model = dawson08.gibbs.model
     n = 100_000
     n_runs = 8
     m_start = 0.5
@@ -387,18 +359,18 @@ def test_c11_perturbation_construction(cosine_unstable_root):
     t0 = time.perf_counter()
     cos_model, cos_root = cosine_unstable_root
     setups = [
-        Pipeline(dawson_model(beta=1.0, sigma=0.8 * SIGMA_C), 0.0, 60),
-        Pipeline(cos_model, cos_root, 40, GridSpec(panel_degree=60)),
-        Pipeline(rescaled_double_well_model(beta=1.0, sigma=0.8 * SIGMA_C),
-                 0.0, 60),
+        analyze_branch(build_gibbs(
+            dawson_model(beta=1.0, sigma=0.8 * SIGMA_C), 0.0), 60),
+        analyze_branch(build_gibbs(cos_model, cos_root,
+                                   GridSpec(panel_degree=60)), 40),
+        analyze_branch(build_gibbs(rescaled_double_well_model(
+            beta=1.0, sigma=0.8 * SIGMA_C), 0.0), 60),
     ]
     delta = 1e-3
     ok = True
     details = []
     for pipe in setups:
-        pspec, mu_d = make_perturbation(pipe.gibbs, pipe.basis,
-                                        pipe.spectrum, pipe.mode,
-                                        delta=delta)
+        pspec, mu_d = make_perturbation(pipe, delta=delta)
         mass = mu_d.moment(lambda x: np.ones_like(x))
         g_M = pspec.g_M_at(pipe.gibbs.rule.nodes)
         mean_gm = pipe.gibbs.moment(g_M)
@@ -409,7 +381,7 @@ def test_c11_perturbation_construction(cosine_unstable_root):
                 and abs(mean_gm) < 1e-12
                 and pspec.gamma_check <= 0.01)
         ok = ok and ok_i
-        details.append(f"{pipe.model.name}: mass-1={abs(mass - 1):.0e} "
+        details.append(f"{pipe.gibbs.model.name}: mass-1={abs(mass - 1):.0e} "
                        f"gamma={pspec.gamma_check:.1e}")
     el = time.perf_counter() - t0
     record(11, "bounded-ratio perturbations are admissible on every model",

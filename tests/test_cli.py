@@ -24,6 +24,7 @@ scan_max = 3.0
 n_scan = 801
 [perturbation]
 delta = {delta}
+{perturbation}
 [simulation]
 engine = {engine}
 n_particles = {n_particles}
@@ -45,7 +46,7 @@ def write_cfg(tmp_path, **kw):
     defaults = dict(name="dawson", beta=1.0,
                     sigma=0.8 * SIGMA_C_DAWSON_BETA1, degree=60,
                     delta=1e-3, engine="fp", n_particles=2000, dt="1e-3",
-                    t_end=40.0, out=str(tmp_path / "out"))
+                    t_end=40.0, perturbation="", out=str(tmp_path / "out"))
     defaults.update(kw)
     p = tmp_path / "exp.ini"
     p.write_text(BASE.format(**defaults))
@@ -222,6 +223,27 @@ class TestInstabilityCommand:
         assert code in (0, 2)
         b = (tmp_path / "out" / "series.csv").read_bytes()
         assert a != b
+
+
+class TestCustomDirection:
+    @staticmethod
+    def custom_cfg(tmp_path, M):
+        x = np.linspace(-3.0, 3.0, 121)
+        path = tmp_path / "dir.csv"
+        np.savetxt(path, np.column_stack([x, x + 0.3 * x ** 2]),
+                   delimiter=",", header="x,h", comments="")
+        return write_cfg(tmp_path, t_end=20.0, perturbation=(
+            f"direction = custom-file\ncustom_file = {path}\nM = {M}"))
+
+    def test_csv_direction_runs(self, tmp_path):
+        assert run("instability", self.custom_cfg(tmp_path, "auto")) in (0, 2)
+        rep = report(tmp_path, "instability.json")
+        assert rep["status"] in ("ok", "inconclusive")
+        assert rep["initial_pairing"] != 0.0
+
+    def test_zero_truncation_level_rejected(self, tmp_path, capsys):
+        assert run("instability", self.custom_cfg(tmp_path, "0")) == 1
+        assert "truncation level M must be positive" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -3,8 +3,8 @@ import pytest
 
 from mvstab.fokkerplanck import (FpGrid, FpStepper, SchemeError, auto_grid,
                                  default_dt, discrete_stationary, fp_evolve,
-                                 fp_evolve_linear, fp_step, init_from_model,
-                                 observable_series, state_from_density)
+                                 fp_evolve_linear, init_from_model,
+                                 state_from_density)
 from mvstab.model import ScalarMeanFieldModel, dawson_model
 from mvstab.numerics import fit_exp_rate
 from mvstab.perturb import make_perturbation
@@ -84,7 +84,7 @@ class TestStep:
     def test_one_shot_helper(self, dawson08):
         grid = FpGrid(L=5.0, n_cells=200)
         st = init_from_model(dawson08, grid, 0.0)
-        out = fp_step(st, dawson08, grid, 1e-3)
+        out = FpStepper(dawson08, grid).step(st, 1e-3)
         assert out.t == pytest.approx(1e-3)
 
     def test_rejects_nonpositive_dt(self, dawson08):
@@ -124,9 +124,7 @@ class TestEvolve:
     def test_perturbed_symmetric_state_escapes_monotonically(
             self, dawson08, dawson_sub):
         delta = 1e-3
-        pspec, _ = make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                                     dawson_sub.spectrum, dawson_sub.mode,
-                                     delta=delta)
+        pspec, _ = make_perturbation(dawson_sub, delta=delta)
         grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=800)
         ss = discrete_stationary(dawson08, grid, 0.0)
         rho0 = ss.rho * (1.0 + delta * pspec.g_M_at(grid.centers))
@@ -141,18 +139,16 @@ class TestEvolve:
             self, dawson08, dawson_sub):
         delta = 1e-3
         lam = dawson_sub.mode.lambda_star
-        pspec, _ = make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                                     dawson_sub.spectrum, dawson_sub.mode,
-                                     delta=delta)
+        pspec, _ = make_perturbation(dawson_sub, delta=delta)
         grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=800)
         ss = discrete_stationary(dawson08, grid, 0.0)
         rho0 = ss.rho * (1.0 + delta * pspec.g_M_at(grid.centers))
         st = state_from_density(rho0, dawson08, grid)
-        fstar_poly = dawson_sub.spectrum.vectors @ dawson_sub.mode.f_star
-        fstar_grid = dawson_sub.basis.eval_series(fstar_poly, grid.centers)
+        fstar_grid = dawson_sub.fstar_at(grid.centers)
         fstar_inf = float(np.dot(fstar_grid, ss.rho) * grid.dx)
         ts = fp_evolve(st, dawson08, grid, t_end=40.0, dt=1e-3, stride=20,
-                       observers={"fstar": lambda x: fstar_grid},
+                       observers={"fstar": lambda rho: float(
+                           np.dot(fstar_grid, rho) * grid.dx)},
                        stop_condition=lambda t, m: abs(m) > 0.05)
         pair = np.abs(ts["fstar"] - fstar_inf)
         c0 = pair[0]
@@ -161,34 +157,28 @@ class TestEvolve:
                             (ts.times[inside][0], ts.times[inside][-1]))
         assert abs(rate - lam) / lam < 0.10
 
-    def test_frames_and_observable_series(self, dawson08):
+    def test_density_observers(self, dawson08):
+        # observers see the cell density at every record, as the particle
+        # engine's observers see the positions
         grid = FpGrid(L=5.0, n_cells=300)
         st = init_from_model(dawson08, grid, 0.0)
-        series, frames = fp_evolve(st, dawson08, grid, t_end=0.05, dt=1e-3,
-                                   stride=10, store_frames=True)
-        ones = observable_series(frames, lambda x: np.ones_like(x))
-        assert np.allclose(ones["value"], 1.0, atol=1e-12)
-        gser = observable_series(frames, dawson08.g)
-        assert np.abs(gser["value"] - series["m"]).max() < 1e-12
-
-    def test_observable_grid_mismatch(self, dawson08):
-        grid = FpGrid(L=5.0, n_cells=300)
-        st = init_from_model(dawson08, grid, 0.0)
-        _, frames = fp_evolve(st, dawson08, grid, t_end=0.01, dt=1e-3,
-                              store_frames=True)
-        with pytest.raises(ValueError, match="grid"):
-            observable_series(frames, np.zeros(7))
+        x = grid.centers
+        ts = fp_evolve(st, dawson08, grid, t_end=0.05, dt=1e-3, stride=10,
+                       observers={"mass": lambda rho: rho.sum() * grid.dx,
+                                  "g": lambda rho: np.dot(dawson08.g(x), rho)
+                                  * grid.dx})
+        assert ts.times.size == 6
+        assert np.allclose(ts["mass"], 1.0, atol=1e-12)
+        assert np.abs(ts["g"] - ts["m"]).max() < 1e-12
 
 
 class TestFrozenLinearization:
     def test_pairing_matches_matrix_exponential(self, dawson_sub):
         # duality oracle: <nu_t, f> computed by transporting the signed
         # density must match <nu_0, exp(tM) f> from the Galerkin matrix
-        mdl = dawson_sub.model
+        mdl = dawson_sub.gibbs.model
         M = full_generator_matrix(dawson_sub.spectrum, dawson_sub.coupling)
-        pspec, _ = make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                                     dawson_sub.spectrum, dawson_sub.mode,
-                                     delta=1e-3)
+        pspec, _ = make_perturbation(dawson_sub, delta=1e-3)
         grid = FpGrid(L=5.0, n_cells=1600)
         ss = discrete_stationary(mdl, grid, 0.0)
         nu0 = pspec.g_M_at(grid.centers) * ss.rho
@@ -198,10 +188,10 @@ class TestFrozenLinearization:
         f_poly = np.zeros(n + 1)
         f_poly[1], f_poly[2] = 1.0, 0.5
         f_eig = dawson_sub.spectrum.vectors.T @ f_poly
-        frames = fp_evolve_linear(nu0, mdl, grid, ss.rho, ss.m,
-                                  t_end=1.0, dt=2e-4, stride=10 ** 9)
+        ts = fp_evolve_linear(nu0, mdl, grid, ss.rho, ss.m,
+                              t_end=1.0, dt=2e-4, stride=10 ** 9)
         f_grid = dawson_sub.basis.eval_series(f_poly, grid.centers)
-        route_measure = float(np.dot(frames.rhos[-1], f_grid) * grid.dx)
+        route_measure = float(np.dot(ts["nu"][-1], f_grid) * grid.dx)
         qtf = linearized_propagate(M, f_eig, 1.0)
         qtf_grid = dawson_sub.basis.eval_series(
             dawson_sub.spectrum.vectors @ qtf, grid.centers)
@@ -210,14 +200,14 @@ class TestFrozenLinearization:
             route_observable)
 
     def test_signed_mass_conserved(self, dawson_sub):
-        mdl = dawson_sub.model
+        mdl = dawson_sub.gibbs.model
         grid = FpGrid(L=5.0, n_cells=400)
         ss = discrete_stationary(mdl, grid, 0.0)
         nu0 = grid.centers * ss.rho
         nu0 -= ss.rho * (nu0.sum() / ss.rho.sum())
-        frames = fp_evolve_linear(nu0, mdl, grid, ss.rho, ss.m,
-                                  t_end=0.5, dt=1e-3, stride=100)
-        assert abs(frames.rhos[-1].sum() * grid.dx) < 1e-13
+        ts = fp_evolve_linear(nu0, mdl, grid, ss.rho, ss.m,
+                              t_end=0.5, dt=1e-3, stride=100)
+        assert abs(ts["nu"][-1].sum() * grid.dx) < 1e-13
 
 
 class TestDefaults:

@@ -157,8 +157,9 @@ class TestAgainstMeanFieldOracle:
         m_start = 0.3       # not a root: the statistic genuinely moves
         grid = FpGrid(L=12.0, n_cells=1200)
         st = init_from_model(mdl, grid, m_start)
-        ref = fp_evolve(st, mdl, grid, t_end=1.0, dt=5e-4,
-                        observers={"mean_x": lambda x: x})
+        x = grid.centers
+        ref = fp_evolve(st, mdl, grid, t_end=1.0, dt=5e-4, observers={
+            "mean_x": lambda rho: np.dot(x, rho) * grid.dx})
         target = ref["mean_x"][-1]
 
         g = build_gibbs(mdl, m_start)
@@ -199,11 +200,9 @@ class TestAgainstMeanFieldOracle:
         # statistic leaves the band around zero and heads for an outer
         # branch well before the horizon
         from mvstab.perturb import make_perturbation
-        mdl = dawson_sub.model
+        mdl = dawson_sub.gibbs.model
         delta = 1e-2
-        _, mu_d = make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                                    dawson_sub.spectrum, dawson_sub.mode,
-                                    delta=delta)
+        _, mu_d = make_perturbation(dawson_sub, delta=delta)
         n = 20_000
         xs = sample_measure(mu_d, n, seed=2)
         band = 10 * delta

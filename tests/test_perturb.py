@@ -8,16 +8,13 @@ from mvstab.perturb import (default_truncation_level, dump_positions,
                             make_perturbation, perturbed_measure,
                             quantile_function, sample_measure,
                             truncate_center)
-from mvstab.spectrum import (base_spectrum, build_basis, coupling_vectors,
-                             dirichlet_matrix, unstable_mode)
+from mvstab.spectrum import analyze_branch
 from mvstab.stationary import GridSpec, build_gibbs
 
 
 @pytest.fixture(scope="module")
 def setup(dawson_sub):
-    spec, mu_d = make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                                   dawson_sub.spectrum, dawson_sub.mode,
-                                   delta=1e-2)
+    spec, mu_d = make_perturbation(dawson_sub, delta=1e-2)
     return dawson_sub, spec, mu_d
 
 
@@ -126,9 +123,7 @@ class TestPerturbedMeasure:
 class TestMakePerturbation:
     def test_imaginary_direction_degenerates_for_real_mode(self, dawson_sub):
         with pytest.raises(ValueError, match="degenerates"):
-            make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                              dawson_sub.spectrum, dawson_sub.mode,
-                              delta=1e-3, direction="adjoint-im")
+            make_perturbation(dawson_sub, delta=1e-3, direction="adjoint-im")
 
     def test_gamma_check_small_for_adjoint(self, setup):
         s, spec, _ = setup
@@ -137,9 +132,7 @@ class TestMakePerturbation:
 
     def test_unknown_direction(self, dawson_sub):
         with pytest.raises(ValueError, match="unknown direction"):
-            make_perturbation(dawson_sub.gibbs, dawson_sub.basis,
-                              dawson_sub.spectrum, dawson_sub.mode,
-                              delta=1e-3, direction="sideways")
+            make_perturbation(dawson_sub, delta=1e-3, direction="sideways")
 
 
 class TestSampleMeasure:
@@ -159,9 +152,9 @@ class TestSampleMeasure:
         s, _, mu_d = setup
         n = 100_000
         xs = sample_measure(mu_d, n, seed=7)
-        gvals = s.model.g(xs)
-        target = mu_d.moment(s.model.g)
-        var = mu_d.moment(lambda x: s.model.g(x) ** 2) - target ** 2
+        gvals = s.gibbs.model.g(xs)
+        target = mu_d.moment(s.gibbs.model.g)
+        var = mu_d.moment(lambda x: s.gibbs.model.g(x) ** 2) - target ** 2
         se = np.sqrt(var / n)
         assert abs(gvals.mean() - target) < 3 * se
 
@@ -181,14 +174,11 @@ class TestSampleMeasure:
         # laws are the particle start laws of the engine-agreement and
         # particle-escape criteria; a half-node CDF offset shifts both
         # means by -1.4e-3
-        g0 = dawson_sub.gibbs
         if law == "gibbs_m05":
-            meas = build_gibbs(dawson_sub.model, 0.5)
+            meas = build_gibbs(dawson_sub.gibbs.model, 0.5)
         else:
-            basis = build_basis(g0, 120)
-            spec = base_spectrum(dirichlet_matrix(g0, basis))
-            mode = unstable_mode(spec, coupling_vectors(g0, basis, spec))
-            _, meas = make_perturbation(g0, basis, spec, mode, delta=1e-3)
+            _, meas = make_perturbation(analyze_branch(dawson_sub.gibbs, 120),
+                                        delta=1e-3)
         k = 2 ** 22
         xq = quantile_function(meas)((np.arange(k) + 0.5) / k)
         assert abs(xq.mean() - meas.moment(lambda x: x)) < 1e-8

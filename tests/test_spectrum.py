@@ -4,10 +4,10 @@ import pytest
 from mvstab.model import (cosine_model, dawson_model,
                           rescaled_double_well_model)
 from mvstab.numerics import dense_spectrum, find_roots
-from mvstab.spectrum import (base_spectrum, build_basis, coupling_vectors,
-                             dirichlet_matrix, full_generator_matrix,
-                             linearized_propagate, secular_function,
-                             solve_secular, unstable_mode)
+from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
+                             coupling_vectors, dirichlet_matrix,
+                             full_generator_matrix, linearized_propagate,
+                             secular_function, solve_secular)
 from mvstab.stationary import GridSpec, build_gibbs, stability_indicator
 
 from conftest import SIGMA_C_DAWSON_BETA1
@@ -36,7 +36,7 @@ class TestBuildBasis:
         # are shifted normalized probabilists' Hermite polynomials,
         # with recurrence alpha_k = mu0 and beta_k = k
         b = cosine_unstable.basis
-        mu0 = cosine_unstable.model.beta * cosine_unstable.m_root
+        mu0 = cosine_unstable.gibbs.model.beta * cosine_unstable.gibbs.m
         assert np.abs(b.alpha[:20] - mu0).max() < 1e-10
         assert np.abs(b.beta_sq[1:20] - np.arange(1, 20)).max() < 1e-9
         x = b.gibbs.rule.nodes
@@ -70,11 +70,12 @@ class TestBuildBasis:
 
 class TestDirichletMatrix:
     def test_row_zero_vanishes(self, dawson_sub):
-        assert np.all(dawson_sub.K[0] == 0.0)
-        assert np.all(dawson_sub.K[:, 0] == 0.0)
+        K = dirichlet_matrix(dawson_sub.gibbs, dawson_sub.basis)
+        assert np.all(K[0] == 0.0)
+        assert np.all(K[:, 0] == 0.0)
 
     def test_symmetric_psd(self, dawson_sub):
-        K = dawson_sub.K
+        K = dirichlet_matrix(dawson_sub.gibbs, dawson_sub.basis)
         assert np.abs(K - K.T).max() == 0.0
         assert np.linalg.eigvalsh(K).min() > -1e-10
 
@@ -83,7 +84,8 @@ class TestDirichletMatrix:
         # Gaussian is diagonal with entries 0, 1, 2, ...  The domain
         # truncation (tail mass ~1e-14) pollutes degrees near the top of
         # the basis, so the comparison covers the converged lower half.
-        K = cosine_unstable.K[:21, :21]
+        K = dirichlet_matrix(cosine_unstable.gibbs,
+                             cosine_unstable.basis)[:21, :21]
         assert np.abs(np.diag(K) - np.arange(21)).max() < 1e-8
         off = K - np.diag(np.diag(K))
         assert np.abs(off).max() < 1e-8
@@ -107,7 +109,7 @@ class TestCouplingVectors:
         # the only surviving secular product is <e_1, cos - m> =
         # -e^{-1/2} sin(beta m)
         cu = cosine_unstable
-        beta, m0 = cu.model.beta, cu.m_root
+        beta, m0 = cu.gibbs.model.beta, cu.gibbs.m
         got = cu.coupling.phi_hat[1] * cu.coupling.v_hat[1]
         assert got == pytest.approx(-np.exp(-0.5) * np.sin(beta * m0), abs=1e-8)
 
@@ -123,14 +125,14 @@ class TestCouplingVectors:
         mu = s.gibbs.rule.weights * s.gibbs.density
         x = s.gibbs.rule.nodes
         dE = s.spectrum.vectors.T @ s.basis.node_derivs
-        direct = dE @ (mu * s.model.c(x))
+        direct = dE @ (mu * s.gibbs.model.c(x))
         assert np.abs(direct - s.coupling.ell).max() < 1e-8
 
     def test_parseval_covariance(self, dawson_sub):
         s = dawson_sub
         x = s.gibbs.rule.nodes
-        phi = s.model.g(x) - s.m_root
-        v = s.model.coupling_v(x)
+        phi = s.gibbs.model.g(x) - s.gibbs.m
+        v = s.gibbs.model.coupling_v(x)
         cov = s.gibbs.moment(phi * v) - s.gibbs.moment(phi) * s.gibbs.moment(v)
         assert np.dot(s.coupling.phi_hat[1:], s.coupling.v_hat[1:]) == \
             pytest.approx(cov, abs=1e-8)
@@ -153,13 +155,13 @@ class TestSecular:
 
     def test_matches_stability_indicator(self, dawson_sub):
         s = dawson_sub
-        s0 = stability_indicator(s.model, s.m_root)
+        s0 = stability_indicator(s.gibbs.model, s.gibbs.m)
         assert secular_function(s.spectrum, s.coupling, 0.0) == pytest.approx(
             s0, abs=1e-6)
 
     def test_cosine_closed_form_curve(self, cosine_unstable):
         cu = cosine_unstable
-        beta, m0 = cu.model.beta, cu.m_root
+        beta, m0 = cu.gibbs.model.beta, cu.gibbs.m
         num = -beta * np.exp(-0.5) * np.sin(beta * m0)
         for lam in (0.0, 0.5, 2.0, 7.3):
             assert secular_function(cu.spectrum, cu.coupling, lam) == \
@@ -180,7 +182,7 @@ class TestSecular:
 
     def test_solve_closed_form(self, cosine_unstable):
         cu = cosine_unstable
-        beta, m0 = cu.model.beta, cu.m_root
+        beta, m0 = cu.gibbs.model.beta, cu.gibbs.m
         closed = -1.0 - np.exp(-0.5) * beta * np.sin(beta * m0)
         assert solve_secular(cu.spectrum, cu.coupling) == pytest.approx(
             closed, abs=1e-6)
@@ -196,36 +198,31 @@ class TestSecular:
     def test_refinement_stability(self, mdl, m0):
         out = {}
         for n in (100, 200):
-            g = build_gibbs(mdl, m0, GridSpec(panel_degree=n + 4))
-            b = build_basis(g, n)
-            spec = base_spectrum(dirichlet_matrix(g, b))
-            cp = coupling_vectors(g, b, spec)
-            out[n] = (spec.values[1], secular_function(spec, cp, 0.0),
-                      solve_secular(spec, cp))
+            br = analyze_branch(
+                build_gibbs(mdl, m0, GridSpec(panel_degree=n + 4)), n)
+            out[n] = (br.spectrum.values[1],
+                      secular_function(br.spectrum, br.coupling, 0.0),
+                      br.mode.lambda_star)
         for a, b_ in zip(out[100], out[200]):
             assert a == pytest.approx(b_, abs=1e-6)
 
     def test_refinement_stability_cosine(self, cosine_unstable):
         cu = cosine_unstable
-        g = build_gibbs(cu.model, cu.m_root, GridSpec(panel_degree=100))
-        b = build_basis(g, 80)
-        spec = base_spectrum(dirichlet_matrix(g, b))
-        cp = coupling_vectors(g, b, spec)
-        assert spec.values[1] == pytest.approx(cu.spectrum.values[1], abs=1e-6)
-        assert solve_secular(spec, cp) == pytest.approx(
-            solve_secular(cu.spectrum, cu.coupling), abs=1e-6)
+        br = analyze_branch(build_gibbs(cu.gibbs.model, cu.gibbs.m,
+                                        GridSpec(panel_degree=100)), 80)
+        assert br.spectrum.values[1] == pytest.approx(cu.spectrum.values[1],
+                                                      abs=1e-6)
+        assert br.mode.lambda_star == pytest.approx(cu.mode.lambda_star,
+                                                    abs=1e-6)
 
 
 class TestFullGeneratorMatrix:
     def test_beta_zero_spectrum_unchanged(self):
         mdl = dawson_model(beta=0.0, sigma=0.7)
-        g = build_gibbs(mdl, 0.0)
-        b = build_basis(g, 30)
-        spec = base_spectrum(dirichlet_matrix(g, b))
-        cp = coupling_vectors(g, b, spec)
-        M = full_generator_matrix(spec, cp)
+        br = analyze_branch(build_gibbs(mdl, 0.0), 30)
+        M = full_generator_matrix(br.spectrum, br.coupling)
         vals = np.sort(dense_spectrum(M).values.real)
-        assert np.abs(vals - np.sort(-spec.values)).max() < 1e-10
+        assert np.abs(vals - np.sort(-br.spectrum.values)).max() < 1e-10
 
     def test_constant_mode_annihilated(self, dawson_sub):
         M = full_generator_matrix(dawson_sub.spectrum, dawson_sub.coupling)
@@ -260,7 +257,7 @@ class TestUnstableMode:
         # shifted basis are Re(i^k e^{i beta m}) e^{-1/2} / sqrt(k!),
         # so f*_k = beta phi_k / (k + lambda*) follows in closed form
         cu = cosine_unstable
-        beta, m0 = cu.model.beta, cu.m_root
+        beta, m0 = cu.gibbs.model.beta, cu.gibbs.m
         lam = cu.mode.lambda_star
         ks = np.arange(1, 13)
         fact = np.array([float(np.prod(np.arange(1, k + 1))) for k in ks])

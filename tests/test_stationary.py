@@ -5,7 +5,7 @@ from scipy.stats import norm
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import find_roots
 from mvstab.stationary import (GridSpec, TruncationError, auto_half_width,
-                               build_gibbs, critical_sigma, moment, psi,
+                               build_gibbs, critical_sigma, psi,
                                self_consistent_roots, stability_indicator)
 
 # bisection value, cross-checked against the closed form
@@ -85,7 +85,7 @@ class TestBuildGibbs:
 class TestMoment:
     def test_odd_integrand_vanishes(self):
         g = build_gibbs(dawson_model(1.0, 0.6), 0.0)
-        assert moment(g, lambda x: x) == pytest.approx(0.0, abs=1e-12)
+        assert g.moment(lambda x: x) == pytest.approx(0.0, abs=1e-12)
 
     def test_cos_moment_at_self_consistent_root(self):
         mdl = cosine_model(beta=2.0)
@@ -93,7 +93,7 @@ class TestMoment:
         assert roots  # the fixed-point map has at least one root
         for r in roots:
             g = build_gibbs(mdl, r)
-            assert moment(g, np.cos) == pytest.approx(r, abs=1e-10)
+            assert g.moment(np.cos) == pytest.approx(r, abs=1e-10)
 
 
 class TestPsi:
