@@ -7,8 +7,9 @@ Four subcommands cover the workflow:
     mvstab instability --config c.ini [--out DIR] [--seed S]   escape run
     mvstab sweep       --config c.ini [--out DIR]   bifurcation table over sigma
 
-Configs are flat INI files (documented in the shipped config.example.ini);
-unknown sections or keys are rejected.  Reports are JSON validated against
+Configs are flat INI files (documented in the shipped config.example.ini)
+whose keys, defaults and checks all live in ``CONFIG_KEYS``; unknown
+sections or keys are rejected.  Reports are JSON validated against
 the schema shipped with the package, tables are plain CSV, plots static
 SVG.  Exit codes: 0 success, 2 inconclusive run, 1 error.
 """
@@ -22,8 +23,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,139 +37,113 @@ from .stationary import (GridSpec, build_gibbs, critical_sigma,
 
 SCHEMA_VERSION = "1"
 
-_SCHEMA_KEYS = {
-    "mvstab": {"config_version"},
-    "model": {"name", "beta", "sigma"},
-    "grid": {"L", "n_nodes"},
-    "basis": {"degree"},
-    "stationary": {"scan_min", "scan_max", "n_scan"},
-    "spectrum": {"root"},
-    "perturbation": {"delta", "M", "direction", "custom_file"},
-    "simulation": {"engine", "n_particles", "dt", "t_end", "seed", "stride",
-                   "n_cells", "stop_band_factor"},
-    "metric": {"p0", "phi0"},
-    "sweep": {"sigma_min", "sigma_max", "n_sigma"},
-    "output": {"directory"},
+
+def _optional(parse):
+    return lambda raw: None if raw is None else parse(raw)
+
+
+def _auto(parse):
+    return lambda raw: None if raw == "auto" else parse(raw)
+
+
+def _choice(*allowed):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, "
+                             f"got {raw!r}")
+        return raw
+    return parse
+
+
+def _positive(raw):
+    value = float(raw)
+    if not value > 0:
+        raise ValueError(f"must be positive or auto, got {raw!r}")
+    return value
+
+
+# section -> key -> (parser that also checks the value, default as it would
+# be written in the file).  Key names are unique across sections; each
+# becomes one ExperimentConfig attribute.
+CONFIG_KEYS = {
+    "mvstab": {"config_version": (_choice("1"), None)},
+    "model": {"name": (_choice(*sorted(BUILTIN_MODELS)), None),
+              "beta": (float, "1.0"),
+              "sigma": (_optional(float), None)},
+    "grid": {"L": (_auto(float), "auto"),
+             "n_nodes": (int, "3200")},
+    "basis": {"degree": (int, "120")},
+    "stationary": {"scan_min": (_optional(float), None),
+                   "scan_max": (_optional(float), None),
+                   "n_scan": (int, "2001")},
+    "spectrum": {"root": (str, "all")},
+    "perturbation": {
+        "delta": (float, "1e-3"),
+        "M": (_auto(float), "auto"),
+        "direction": (_choice("adjoint-re", "adjoint-im", "custom-file"),
+                      "adjoint-re"),
+        "custom_file": (_optional(str), None)},
+    "simulation": {"engine": (_choice("fp", "particles"), "fp"),
+                   "n_particles": (int, "100000"),
+                   "dt": (_auto(_positive), "auto"),
+                   "t_end": (float, "40.0"),
+                   "seed": (int, "0"),
+                   "stride": (int, "25"),
+                   "n_cells": (int, "1600"),
+                   "stop_band_factor": (float, "3.0")},
+    "metric": {"p0": (float, "0.0"),
+               "phi0": (_choice("r", "r_wedge_1"), "r")},
+    "sweep": {"sigma_min": (float, "0.3"),
+              "sigma_max": (float, "1.3"),
+              "n_sigma": (int, "21")},
+    "output": {"directory": (str, "out")},
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated contents of one INI experiment file."""
+class ExperimentConfig(SimpleNamespace):
+    """Validated contents of one INI experiment file: one attribute per
+    key of ``CONFIG_KEYS``, named after the key."""
 
-    model_name: str
-    beta: float
-    sigma: float | None
-    grid_L: float | None
-    grid_n_nodes: int
-    basis_degree: int
-    scan_range: tuple[float, float] | None
-    n_scan: int
-    spectrum_root: str
-    delta: float
-    trunc_M: float | None
-    direction: str
-    custom_file: str | None
-    engine: str
-    n_particles: int
-    dt: float | None
-    t_end: float
-    seed: int
-    stride: int
-    n_cells: int
-    stop_band_factor: float
-    p0: float
-    phi0: str
-    sweep_range: tuple[float, float]
-    n_sigma: int
-    out_dir: str
+    @property
+    def scan_range(self) -> tuple[float, float] | None:
+        if self.scan_min is None or self.scan_max is None:
+            return None
+        return (self.scan_min, self.scan_max)
+
+    @property
+    def sweep_range(self) -> tuple[float, float]:
+        return (self.sigma_min, self.sigma_max)
 
     def build(self) -> ScalarMeanFieldModel:
-        return build_model(self.model_name, beta=self.beta, sigma=self.sigma)
+        return build_model(self.name, beta=self.beta, sigma=self.sigma)
 
     def grid_spec(self) -> GridSpec:
-        panel_degree = max(self.basis_degree + 4, 32)
-        n_panels = max(2, math.ceil(self.grid_n_nodes / panel_degree))
-        return GridSpec(L=self.grid_L, n_panels=n_panels,
+        panel_degree = max(self.degree + 4, 32)
+        n_panels = max(2, math.ceil(self.n_nodes / panel_degree))
+        return GridSpec(L=self.L, n_panels=n_panels,
                         panel_degree=panel_degree)
-
-
-def _get(cp, section, key, default=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return default
 
 
 def load_config(path: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     cp.optionxform = str        # keys are case-sensitive ("L", "M")
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"config file {path!r} not found or unreadable")
     for section in cp.sections():
-        if section not in _SCHEMA_KEYS:
+        if section not in CONFIG_KEYS:
             raise ValueError(f"unknown config section [{section}]")
-        extra = set(cp.options(section)) - _SCHEMA_KEYS[section]
+        extra = set(cp.options(section)) - set(CONFIG_KEYS[section])
         if extra:
             raise ValueError(
                 f"unknown keys {sorted(extra)} in section [{section}]")
-    version = _get(cp, "mvstab", "config_version")
-    if version != "1":
-        raise ValueError(
-            f"unsupported config_version {version!r}; this build reads "
-            f"version 1")
-    name = _get(cp, "model", "name")
-    if name not in BUILTIN_MODELS:
-        raise ValueError(
-            f"unknown model {name!r}; builtins: {sorted(BUILTIN_MODELS)}")
-    sigma_raw = _get(cp, "model", "sigma")
-    L_raw = _get(cp, "grid", "L", "auto")
-    dt_raw = _get(cp, "simulation", "dt", "auto")
-    m_raw = _get(cp, "perturbation", "M", "auto")
-    scan_min = _get(cp, "stationary", "scan_min")
-    scan_max = _get(cp, "stationary", "scan_max")
-    scan = None
-    if scan_min is not None and scan_max is not None:
-        scan = (float(scan_min), float(scan_max))
-    engine = _get(cp, "simulation", "engine", "fp")
-    if engine not in ("fp", "particles"):
-        raise ValueError(f"engine must be fp or particles, got {engine!r}")
-    direction = _get(cp, "perturbation", "direction", "adjoint-re")
-    if direction not in ("adjoint-re", "adjoint-im", "custom-file"):
-        raise ValueError(f"unknown perturbation direction {direction!r}")
-    phi0 = _get(cp, "metric", "phi0", "r")
-    if phi0 not in ("r", "r_wedge_1"):
-        raise ValueError(f"metric gauge must be r or r_wedge_1, got {phi0!r}")
-    return ExperimentConfig(
-        model_name=name,
-        beta=float(_get(cp, "model", "beta", "1.0")),
-        sigma=None if sigma_raw is None else float(sigma_raw),
-        grid_L=None if L_raw == "auto" else float(L_raw),
-        grid_n_nodes=int(_get(cp, "grid", "n_nodes", "3200")),
-        basis_degree=int(_get(cp, "basis", "degree", "120")),
-        scan_range=scan,
-        n_scan=int(_get(cp, "stationary", "n_scan", "2001")),
-        spectrum_root=_get(cp, "spectrum", "root", "all"),
-        delta=float(_get(cp, "perturbation", "delta", "1e-3")),
-        trunc_M=None if m_raw == "auto" else float(m_raw),
-        direction=direction,
-        custom_file=_get(cp, "perturbation", "custom_file"),
-        engine=engine,
-        n_particles=int(_get(cp, "simulation", "n_particles", "100000")),
-        dt=None if dt_raw == "auto" else float(dt_raw),
-        t_end=float(_get(cp, "simulation", "t_end", "40.0")),
-        seed=int(_get(cp, "simulation", "seed", "0")),
-        stride=int(_get(cp, "simulation", "stride", "25")),
-        n_cells=int(_get(cp, "simulation", "n_cells", "1600")),
-        stop_band_factor=float(_get(cp, "simulation", "stop_band_factor",
-                                    "3.0")),
-        p0=float(_get(cp, "metric", "p0", "0.0")),
-        phi0=phi0,
-        sweep_range=(float(_get(cp, "sweep", "sigma_min", "0.3")),
-                     float(_get(cp, "sweep", "sigma_max", "1.3"))),
-        n_sigma=int(_get(cp, "sweep", "n_sigma", "21")),
-        out_dir=_get(cp, "output", "directory", "out"),
-    )
+    values = {}
+    for section, keys in CONFIG_KEYS.items():
+        for key, (parse, default) in keys.items():
+            try:
+                values[key] = parse(cp.get(section, key, fallback=default))
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
+    return ExperimentConfig(**values)
 
 
 def load_report_schema() -> dict:
@@ -294,12 +269,12 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
                                 grid_spec=cfg.grid_spec())
     sigma_c = None
     if model.symmetric and model.beta != 0.0:
-        cs = critical_sigma(model, (0.1 * model.sigma, 3.0 * model.sigma),
-                            grid_spec=cfg.grid_spec())
-        sigma_c = cs.sigma_c
-    files = [write_csv(cfg.out_dir, "psi.csv", ["m", "psi"],
+        sigma_c = critical_sigma(model,
+                                 (0.1 * model.sigma, 3.0 * model.sigma),
+                                 grid_spec=cfg.grid_spec())
+    files = [write_csv(cfg.directory, "psi.csv", ["m", "psi"],
                        [rep.psi_at_scan[:, 0], rep.psi_at_scan[:, 1]])]
-    files.append(write_report(cfg.out_dir, "stationary.json", {
+    files.append(write_report(cfg.directory, "stationary.json", {
         "command": "stationary",
         "model": _model_block(model),
         "roots": list(map(float, rep.roots)),
@@ -308,24 +283,24 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
         "branch_count": rep.branch_count,
         "sigma_c": sigma_c,
     }))
-    write_manifest(cfg.out_dir, "stationary", files)
+    write_manifest(cfg.directory, "stationary", files)
     return 0
 
 
 def _analyze(model, m_root, cfg: ExperimentConfig):
     return analyze_branch(build_gibbs(model, m_root, cfg.grid_spec()),
-                          cfg.basis_degree)
+                          cfg.degree)
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     model = cfg.build()
     rep = self_consistent_roots(model, scan_range=cfg.scan_range,
                                 n_scan=cfg.n_scan, grid_spec=cfg.grid_spec())
-    if cfg.spectrum_root == "all":
+    if cfg.root == "all":
         targets = rep.roots
     else:
         targets = [min(rep.roots,
-                       key=lambda r: abs(r - float(cfg.spectrum_root)))]
+                       key=lambda r: abs(r - float(cfg.root)))]
     blocks = []
     files = []
     for i, m_root in enumerate(targets):
@@ -333,7 +308,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         spectrum, coupling, mode = br.spectrum, br.coupling, br.mode
         lams = np.linspace(0.0, max(1.0, 3 * spectrum.values[1]), 201)
         svals = [secular_function(spectrum, coupling, l) for l in lams]
-        files.append(write_csv(cfg.out_dir, f"secular_root{i}.csv",
+        files.append(write_csv(cfg.directory, f"secular_root{i}.csv",
                                ["lambda", "S"], [lams, np.array(svals)]))
         blocks.append({
             "m_root": float(m_root),
@@ -348,12 +323,12 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
             "f_star": None if mode.f_star is None
             else [float(v) for v in mode.f_star],
         })
-    files.append(write_report(cfg.out_dir, "spectrum.json", {
+    files.append(write_report(cfg.directory, "spectrum.json", {
         "command": "spectrum",
         "model": _model_block(model),
         "roots": blocks,
     }))
-    write_manifest(cfg.out_dir, "spectrum", files)
+    write_manifest(cfg.directory, "spectrum", files)
     return 0
 
 
@@ -367,13 +342,13 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
     branch = _analyze(model, m_root, cfg)
     files: list[str] = []
     if branch.mode.verdict != "unstable":
-        files.append(write_report(cfg.out_dir, "instability.json", {
+        files.append(write_report(cfg.directory, "instability.json", {
             "command": "instability",
             "model": _model_block(model),
             "status": "no-unstable-mode",
             "m_root": float(m_root),
         }))
-        write_manifest(cfg.out_dir, "instability", files)
+        write_manifest(cfg.directory, "instability", files)
         print("no unstable mode: every branch has a nonpositive "
               "spectral abscissa")
         return 0
@@ -382,19 +357,19 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
                      t_end=cfg.t_end, stride=cfg.stride,
                      stop_band_factor=cfg.stop_band_factor, dt=cfg.dt,
                      n_cells=cfg.n_cells, n_particles=cfg.n_particles,
-                     seed=seed, direction=cfg.direction, M=cfg.trunc_M,
+                     seed=seed, direction=cfg.direction, M=cfg.M,
                      custom_file=cfg.custom_file)
     t, m, pair, w1 = (res.series.times, res.series["m"],
                       res.series["pairing"], res.series["w1"])
-    files.append(write_csv(cfg.out_dir, "series.csv",
+    files.append(write_csv(cfg.directory, "series.csv",
                            ["t", "m", "fstar_pairing", "w1"], [t, m, pair, w1]))
     files.append(svg_line_plot(
-        os.path.join(cfg.out_dir, "instability.svg"),
+        os.path.join(cfg.directory, "instability.svg"),
         f"escape from the branch at m={res.m_center:.4g}", "t", "value",
         [("|pairing|", t, np.abs(pair)),
          ("|m - m_root|", t, np.abs(m - res.m_center)),
          ("W1", t, w1)], logy=True))
-    files.append(write_report(cfg.out_dir, "instability.json", {
+    files.append(write_report(cfg.directory, "instability.json", {
         "command": "instability",
         "model": _model_block(model),
         "status": res.status,
@@ -412,7 +387,7 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
         "w1_final": float(w1[-1]),
         "w1_at_escape": res.w1_at_escape,
     }))
-    write_manifest(cfg.out_dir, "instability", files)
+    write_manifest(cfg.directory, "instability", files)
     if res.status == "inconclusive":
         print("inconclusive: the observable never traversed the fit window")
         return 2
@@ -455,22 +430,23 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                            sigmas))
     cols = ["sigma", "branch_count", "m_minus", "m_zero", "m_plus",
             "s0_zero", "lambda_star"]
-    files = [write_csv(cfg.out_dir, "sweep.csv", cols,
+    files = [write_csv(cfg.directory, "sweep.csv", cols,
                        [np.array([r[c] for r in rows]) for c in cols])]
-    cs = critical_sigma(model, cfg.sweep_range, grid_spec=cfg.grid_spec()) \
+    sigma_c = critical_sigma(model, cfg.sweep_range,
+                             grid_spec=cfg.grid_spec()) \
         if model.symmetric else None
-    files.append(write_report(cfg.out_dir, "sweep.json", {
+    files.append(write_report(cfg.directory, "sweep.json", {
         "command": "sweep",
         "model": _model_block(model),
-        "sigma_c": None if cs is None else cs.sigma_c,
+        "sigma_c": sigma_c,
         "n_points": len(rows),
     }))
     files.append(svg_line_plot(
-        os.path.join(cfg.out_dir, "sweep.svg"),
+        os.path.join(cfg.directory, "sweep.svg"),
         "branch structure over the noise level", "sigma", "m, S0",
         [("m_plus", sigmas, np.array([r["m_plus"] for r in rows])),
          ("S0(0)", sigmas, np.array([r["s0_zero"] for r in rows]))]))
-    write_manifest(cfg.out_dir, "sweep", files)
+    write_manifest(cfg.directory, "sweep", files)
     return 0
 
 
@@ -495,8 +471,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.out is not None:
-            cfg.out_dir = args.out
-        os.makedirs(cfg.out_dir, exist_ok=True)
+            cfg.directory = args.out
+        os.makedirs(cfg.directory, exist_ok=True)
         if args.command == "stationary":
             return cmd_stationary(cfg)
         if args.command == "spectrum":

@@ -77,7 +77,8 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         rho0 = ss.rho * (1.0 + delta * spec.g_M_at(x))
         series = fp_evolve(
             state_from_density(rho0, model, grid), model, grid, t_end=t_end,
-            dt=dt or default_dt(model, grid), observers=obs, stride=stride,
+            dt=default_dt(model, grid) if dt is None else dt,
+            observers=obs, stride=stride,
             stop_condition=lambda t, m: abs(m - m_center) > stop_level)
         m_ser = series["m"]
     elif engine == "particles":
@@ -89,8 +90,7 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                "w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
         sim = SimConfig(
-            dt=dt, t_end=t_end, n_particles=n_particles, seed=seed,
-            observers=obs, stride=stride,
+            dt=dt, t_end=t_end, observers=obs, stride=stride,
             stop_condition=lambda t, m: abs(m - m_center) > stop_level)
         xs = sample_measure(mu_delta, n_particles, seed=seed)
         series = evolve(make_ensemble(xs, model, seed=seed), model, sim)

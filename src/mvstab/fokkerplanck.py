@@ -48,10 +48,6 @@ class FpGrid:
         """Interior interfaces only (the walls carry zero flux)."""
         return -self.L + np.arange(1, self.n_cells) * self.dx
 
-    @property
-    def edges(self) -> np.ndarray:
-        return -self.L + np.arange(self.n_cells + 1) * self.dx
-
 
 def auto_grid(model: ScalarMeanFieldModel, m_values=(0.0,),
               n_cells: int = 1600) -> FpGrid:
@@ -197,6 +193,8 @@ def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid,
     cell density.  The first record is the initial state; afterwards one
     record lands every ``stride`` steps and at the final step.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     stepper = FpStepper(model, grid)
     observers = observers or {}
     names = sorted(observers)

@@ -42,13 +42,6 @@ class TimeSeries:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
 
-    def to_csv(self, path, float_fmt: str = "%.17g"):
-        names = sorted(self.channels)
-        cols = [self.times] + [self.channels[n] for n in names]
-        header = ",".join(["t"] + names)
-        np.savetxt(path, np.column_stack(cols), delimiter=",",
-                   header=header, comments="", fmt=float_fmt)
-
 
 def w1_empirical(xs, ys) -> float:
     """Exact 1-D transport distance between two samples.

@@ -163,33 +163,30 @@ def sym_eig(K: np.ndarray) -> EigenSystem:
 class DenseSpectrum:
     """Complex spectrum of a general square matrix.
 
-    ``right_vectors`` and ``left_vectors`` hold eigenvectors as columns;
-    the left vectors u satisfy u^H M = lambda u^H.  ``abscissa`` is the
-    largest real part over the spectrum.
+    ``left_vectors`` holds the left eigenvectors u as columns, with
+    u^H M = lambda u^H.  ``abscissa`` is the largest real part over the
+    spectrum.
     """
 
     values: np.ndarray
-    right_vectors: np.ndarray
     left_vectors: np.ndarray
     abscissa: float = field(default=0.0)
 
 
 def dense_spectrum(M: np.ndarray) -> DenseSpectrum:
-    """Complex eigenvalues with right and left eigenvectors."""
+    """Complex eigenvalues with left eigenvectors."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     try:
-        vals, vl, vr = scipy.linalg.eig(M, left=True, right=True)
+        vals, vl = scipy.linalg.eig(M, left=True, right=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"QR iteration did not converge: {exc}") from exc
     order = np.argsort(vals.real, kind="stable")
     vals = vals[order]
-    vr = vr[:, order]
-    vl = vl[:, order]
-    return DenseSpectrum(values=vals, right_vectors=vr, left_vectors=vl,
+    return DenseSpectrum(values=vals, left_vectors=vl[:, order],
                          abscissa=float(vals.real.max()))
 
 

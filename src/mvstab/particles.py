@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import json
 import numpy as np
 
 from .metrics import TimeSeries
@@ -121,8 +120,6 @@ class SimConfig:
 
     dt: float | None
     t_end: float
-    n_particles: int
-    seed: int
     observers: dict[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict)
     stride: int = 1
@@ -137,8 +134,6 @@ def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel,
     every ``stride`` steps and at the final step.  Fixed seeds give
     bit-identical series.
     """
-    if config.n_particles != ensemble.n:
-        raise ValueError("config.n_particles does not match the ensemble")
     guard = relaxation_dt_bound(model, ensemble.positions)
     dt = guard if config.dt is None else float(config.dt)
     if dt <= 0:
@@ -169,22 +164,3 @@ def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel,
     channels.update({k: np.array(v) for k, v in obs.items()})
     return TimeSeries(times=np.array(times), channels=channels)
 
-
-def save_snapshot(path_bin, path_json, ensemble: Ensemble):
-    """Positions as little-endian float64 plus a JSON sidecar."""
-    ensemble.positions.astype("<f8").tofile(path_bin)
-    with open(path_json, "w", encoding="utf-8") as fh:
-        json.dump({"n": ensemble.n, "t": ensemble.time,
-                   "seed": ensemble.seed}, fh)
-
-
-def load_snapshot(path_bin, path_json, model: ScalarMeanFieldModel) -> Ensemble:
-    with open(path_json, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    positions = np.fromfile(path_bin, dtype="<f8")
-    if positions.size != meta["n"]:
-        raise ValueError(
-            f"snapshot holds {positions.size} positions, sidecar says "
-            f"{meta['n']}")
-    ens = make_ensemble(positions, model, seed=meta["seed"], time=meta["t"])
-    return ens

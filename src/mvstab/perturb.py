@@ -111,7 +111,6 @@ class PerturbationSpec:
     center: float
     delta: float
     gamma_check: float
-    label: str = "custom"
 
     def g_M_at(self, x) -> np.ndarray:
         vals = self.basis.eval_series(self.h_poly, x)
@@ -166,7 +165,7 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
     center = float(gibbs.moment(np.clip(h_vals, -M, M)))
     spec = PerturbationSpec(basis=basis, h_poly=h_poly, M=float(M),
                             center=center, delta=float(delta),
-                            gamma_check=gamma, label=direction)
+                            gamma_check=gamma)
     return spec, perturbed_measure(gibbs, g_M, delta)
 
 
@@ -202,14 +201,3 @@ def sample_measure(measure, n: int, seed: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=seed))
     return quantile_function(measure)(gen.random(n))
 
-
-def dump_positions(path, positions, fmt: str = "f64le"):
-    """Write sampled positions as little-endian float64 or one-column CSV."""
-    positions = np.asarray(positions, dtype=float)
-    if fmt == "f64le":
-        positions.astype("<f8").tofile(path)
-    elif fmt == "csv":
-        np.savetxt(path, positions, delimiter=",", header="x", comments="",
-                   fmt="%.17g")
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")

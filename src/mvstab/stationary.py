@@ -90,15 +90,12 @@ class GibbsMeasure:
     """Normalized Gibbs law of the frozen-coupling SDE on a grid.
 
     ``density`` holds the normalized density at the quadrature nodes and
-    ``cdf`` the mass to the left of each node (see ``node_cdf``);
-    ``log_z`` is the log of the normalizing constant relative to
-    exp(log_gibbs).
+    ``cdf`` the mass to the left of each node (see ``node_cdf``).
     """
 
     model: ScalarMeanFieldModel
     m: float
     rule: QuadratureRule
-    log_z: float
     density: np.ndarray
     cdf: np.ndarray
 
@@ -144,7 +141,6 @@ def build_gibbs(model: ScalarMeanFieldModel, m: float,
     w = np.exp(lg - shift)
     z = float(np.dot(rule.weights, w))
     density = w / z
-    log_z = shift + math.log(z)
 
     # Exponential-tail estimate of the mass lost to truncation: density at
     # the boundary divided by the local log-density decay rate.
@@ -158,8 +154,7 @@ def build_gibbs(model: ScalarMeanFieldModel, m: float,
                 f"1e-10; enlarge the truncation half-width")
 
     return GibbsMeasure(model=model, m=float(m), rule=rule,
-                        log_z=log_z, density=density,
-                        cdf=node_cdf(rule, density))
+                        density=density, cdf=node_cdf(rule, density))
 
 
 def psi(model: ScalarMeanFieldModel, m: float,
@@ -262,25 +257,17 @@ def self_consistent_roots(model: ScalarMeanFieldModel,
                                  s0_per_root=s0, fold_flags=folds)
 
 
-@dataclass(frozen=True)
-class CriticalSigma:
-    """Noise level where the symmetric-branch indicator crosses 1."""
-
-    sigma_c: float | None
-    bracket: tuple[float, float] | None
-    indicator_curve: np.ndarray     # columns (sigma, S0(sigma))
-
-
 def critical_sigma(model: ScalarMeanFieldModel,
                    sigma_range: tuple[float, float] = (0.1, 3.0),
                    n_scan: int = 41,
                    grid_spec: GridSpec | None = None,
-                   tol: float = 1e-10) -> CriticalSigma:
-    """Bisection on sigma -> S0(sigma) - 1 at the symmetric point m = 0.
+                   tol: float = 1e-10) -> float | None:
+    """Noise level where the symmetric-branch indicator S0 crosses 1.
 
-    Uses the raw covariance indicator at m = 0 (a genuine root only for
-    symmetric models); absence of a sign change in the range is encoded
-    as sigma_c = None rather than an error.
+    Finds the first root of sigma -> S0(sigma) - 1 at m = 0 with
+    ``find_roots``, using the raw covariance indicator at m = 0 (a
+    genuine root only for symmetric models).  Returns None when the
+    indicator does not cross 1 in the range.
     """
     grid_spec = grid_spec or GridSpec()
 
@@ -289,23 +276,5 @@ def critical_sigma(model: ScalarMeanFieldModel,
         rule = make_rule(mdl, grid_spec, m_values=(0.0,))
         return _raw_indicator(mdl, build_gibbs(mdl, 0.0, rule=rule))
 
-    sigs = np.linspace(sigma_range[0], sigma_range[1], n_scan)
-    vals = np.array([s0(s) for s in sigs])
-    curve = np.column_stack([sigs, vals])
-
-    fs = vals - 1.0
-    idx = np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]
-    if idx.size == 0:
-        return CriticalSigma(sigma_c=None, bracket=None, indicator_curve=curve)
-    i = int(idx[0])
-    lo, hi = float(sigs[i]), float(sigs[i + 1])
-    flo = fs[i]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = s0(mid) - 1.0
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return CriticalSigma(sigma_c=0.5 * (lo + hi), bracket=(lo, hi),
-                         indicator_curve=curve)
+    roots = find_roots(lambda s: s0(s) - 1.0, sigma_range, n_scan, tol)
+    return roots[0] if roots else None

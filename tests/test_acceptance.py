@@ -122,12 +122,12 @@ def test_c03_eigen_identity(cosine_unstable_root):
 def test_c04_dawson_phase_structure():
     t0 = time.perf_counter()
     model = dawson_model(beta=1.0, sigma=0.6)
-    cs = critical_sigma(model, (0.1, 3.0))
+    sigma_c = critical_sigma(model, (0.1, 3.0))
     closed = 2 * math.sqrt(2.0) * math.gamma(0.75) / math.gamma(0.25)
-    ok = cs.sigma_c is not None and abs(cs.sigma_c - closed) < 1e-8
-    ok = ok and abs(cs.sigma_c - SIGMA_C) < 1e-9
+    ok = sigma_c is not None and abs(sigma_c - closed) < 1e-8
+    ok = ok and abs(sigma_c - SIGMA_C) < 1e-9
 
-    sub = model.with_params(sigma=0.8 * cs.sigma_c)
+    sub = model.with_params(sigma=0.8 * sigma_c)
     rep = self_consistent_roots(sub)
     ok = ok and rep.branch_count == 3
     ok = ok and abs(rep.roots[0] + rep.roots[2]) < 1e-9
@@ -136,7 +136,7 @@ def test_c04_dawson_phase_structure():
     lam_sub = solve_secular(pipe.spectrum, pipe.coupling)
     ok = ok and lam_sub is not None and lam_sub > 0
 
-    sup = model.with_params(sigma=1.2 * cs.sigma_c)
+    sup = model.with_params(sigma=1.2 * sigma_c)
     rep_sup = self_consistent_roots(sup)
     ok = ok and rep_sup.branch_count == 1
     ok = ok and stability_indicator(sup, 0.0) < 1.0
@@ -146,7 +146,7 @@ def test_c04_dawson_phase_structure():
     el = time.perf_counter() - t0
     record(4, "phase structure of the double-well family",
            ok and el < 60.0,
-           f"sigma_c = {cs.sigma_c:.9f}, 3 branches below / 1 above, "
+           f"sigma_c = {sigma_c:.9f}, 3 branches below / 1 above, "
            f"rate {lam_sub:.4f} below vs absent above, {el:.1f}s")
 
 
@@ -234,8 +234,7 @@ def test_c07_particle_escape(dawson08):
         w1_0 = w1_density(nodes, empirical_cdf(xs, nodes), ref_cdf)
         obs = {"w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
-        cfg = SimConfig(dt=None, t_end=40.0, n_particles=n, seed=seed,
-                        observers=obs, stride=25,
+        cfg = SimConfig(dt=None, t_end=40.0, observers=obs, stride=25,
                         stop_condition=lambda t, m: abs(m) > 3 * band)
         ts = evolve(make_ensemble(xs, model, seed=seed), model, cfg)
         m = ts["m_hat"]
@@ -313,8 +312,7 @@ def test_c09_engine_agreement(dawson08):
 
     def run(seed):
         xs = sample_measure(gibbs0, n, seed=seed)
-        cfg = SimConfig(dt=None, t_end=5.0, n_particles=n, seed=seed,
-                        stride=50)
+        cfg = SimConfig(dt=None, t_end=5.0, stride=50)
         return evolve(make_ensemble(xs, model, seed=seed), model, cfg)
 
     # numpy releases the GIL in the particle step, so two threads halve

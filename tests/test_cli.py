@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from mvstab.cli import load_config, load_report_schema, main
+from mvstab.cli import CONFIG_KEYS, load_config, load_report_schema, main
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -64,8 +65,23 @@ def report(tmp_path, name):
 class TestConfig:
     def test_example_config_parses(self):
         cfg = load_config("config.example.ini")
-        assert cfg.model_name == "dawson"
-        assert cfg.grid_L is None and cfg.dt is None
+        assert cfg.name == "dawson"
+        assert cfg.L is None and cfg.dt is None
+
+    def test_example_config_lists_every_key(self):
+        # commented keys count too: the example documents the whole table
+        shown, section = set(), None
+        for line in open("config.example.ini", encoding="utf-8"):
+            head = re.match(r"\[(\w+)\]", line)
+            key = re.match(r"#?\s*(\w+)\s*=", line)
+            if head:
+                section = head.group(1)
+            elif key:
+                shown.add((section, key.group(1)))
+        table = {(s, k) for s, keys in CONFIG_KEYS.items() for k in keys}
+        assert shown == table
+        # each key is one ExperimentConfig attribute, so names are unique
+        assert len({k for _, k in table}) == len(table)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -93,6 +109,11 @@ class TestConfig:
         cfg = write_cfg(tmp_path, engine="quantum")
         with pytest.raises(ValueError, match="engine"):
             load_config(cfg)
+
+    def test_zero_dt_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dt="0", t_end=0.5)
+        assert run("instability", cfg) == 1
+        assert "dt: must be positive" in capsys.readouterr().err
 
 
 class TestStationaryCommand:

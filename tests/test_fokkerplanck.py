@@ -171,6 +171,13 @@ class TestEvolve:
         assert np.allclose(ts["mass"], 1.0, atol=1e-12)
         assert np.abs(ts["g"] - ts["m"]).max() < 1e-12
 
+    def test_zero_dt_rejected(self, dawson08):
+        # a zero step is an error, as in the particle engine, not "auto"
+        grid = FpGrid(L=5.0, n_cells=300)
+        st = init_from_model(dawson08, grid, 0.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            fp_evolve(st, dawson08, grid, t_end=0.5, dt=0.0)
+
 
 class TestFrozenLinearization:
     def test_pairing_matches_matrix_exponential(self, dawson_sub):

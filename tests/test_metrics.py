@@ -184,13 +184,3 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="length"):
             TimeSeries(times=np.array([0.0, 1.0]),
                        channels={"m": np.zeros(3)})
-
-    def test_csv_roundtrip(self, tmp_path):
-        ts = TimeSeries(times=np.array([0.0, 0.5, 1.0]),
-                        channels={"m": np.array([1.0, 2.0, 3.0]),
-                                  "w1": np.array([0.1, 0.2, 0.3])})
-        p = tmp_path / "series.csv"
-        ts.to_csv(p)
-        data = np.genfromtxt(p, delimiter=",", names=True)
-        assert list(data.dtype.names) == ["t", "m", "w1"]
-        assert np.allclose(data["m"], [1, 2, 3])

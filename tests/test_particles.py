@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from mvstab.model import ScalarMeanFieldModel, cosine_model, dawson_model
-from mvstab.particles import (BlowUpError, Ensemble, SimConfig, apply_step,
-                              evolve, load_snapshot, make_ensemble,
-                              relaxation_dt_bound, save_snapshot, step)
+from mvstab.particles import (BlowUpError, SimConfig, apply_step, evolve,
+                              make_ensemble, relaxation_dt_bound, step)
 from mvstab.perturb import sample_measure
 from mvstab.stationary import build_gibbs
 
@@ -83,8 +80,7 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         g = build_gibbs(mdl, 0.0)
         xs = sample_measure(g, 2000, seed=9)
-        cfg = SimConfig(dt=None, t_end=0.2, n_particles=2000, seed=9,
-                        stride=10)
+        cfg = SimConfig(dt=None, t_end=0.2, stride=10)
         a = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg)
         b = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg)
         assert np.array_equal(a.times, b.times)
@@ -94,25 +90,17 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         g = build_gibbs(mdl, 0.0)
         xs = sample_measure(g, 2000, seed=9)
-        cfg9 = SimConfig(dt=None, t_end=0.2, n_particles=2000, seed=9)
-        cfg10 = SimConfig(dt=None, t_end=0.2, n_particles=2000, seed=10)
-        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg9)
-        b = evolve(make_ensemble(xs, mdl, seed=10), mdl, cfg10)
+        cfg = SimConfig(dt=None, t_end=0.2)
+        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg)
+        b = evolve(make_ensemble(xs, mdl, seed=10), mdl, cfg)
         assert not np.array_equal(a["m_hat"], b["m_hat"])
 
     def test_dt_guard_enforced(self):
         mdl = dawson_model(beta=1.0, sigma=0.7)
         ens = make_ensemble(np.zeros(10), mdl, seed=0)
         guard = relaxation_dt_bound(mdl)
-        cfg = SimConfig(dt=5 * guard, t_end=1.0, n_particles=10, seed=0)
+        cfg = SimConfig(dt=5 * guard, t_end=1.0)
         with pytest.raises(ValueError, match="relaxation guard"):
-            evolve(ens, mdl, cfg)
-
-    def test_particle_count_checked(self):
-        mdl = dawson_model(beta=1.0, sigma=0.7)
-        ens = make_ensemble(np.zeros(10), mdl, seed=0)
-        cfg = SimConfig(dt=None, t_end=0.1, n_particles=11, seed=0)
-        with pytest.raises(ValueError, match="n_particles"):
             evolve(ens, mdl, cfg)
 
     def test_stationary_branch_band(self):
@@ -123,7 +111,7 @@ class TestEvolve:
         g = build_gibbs(mdl, m_plus)
         n = 20_000
         xs = sample_measure(g, n, seed=5)
-        cfg = SimConfig(dt=None, t_end=5.0, n_particles=n, seed=5, stride=20)
+        cfg = SimConfig(dt=None, t_end=5.0, stride=20)
         ts = evolve(make_ensemble(xs, mdl, seed=5), mdl, cfg)
         var = g.moment(lambda x: x * x) - m_plus ** 2
         se = np.sqrt(var / n)
@@ -132,7 +120,7 @@ class TestEvolve:
     def test_observers_recorded(self):
         mdl = dawson_model(beta=1.0, sigma=0.7)
         xs = np.linspace(-1, 1, 100)
-        cfg = SimConfig(dt=None, t_end=0.05, n_particles=100, seed=1,
+        cfg = SimConfig(dt=None, t_end=0.05,
                         observers={"x2": lambda p: float(np.mean(p * p))},
                         stride=5)
         ts = evolve(make_ensemble(xs, mdl, seed=1), mdl, cfg)
@@ -142,8 +130,8 @@ class TestEvolve:
     def test_stop_condition(self):
         mdl = noiseless_ou(sigma=0.0)
         xs = np.full(50, 2.0)
-        cfg = SimConfig(dt=0.005, t_end=5.0, n_particles=50, seed=0,
-                        stride=1, stop_condition=lambda t, m: m < 1.0)
+        cfg = SimConfig(dt=0.005, t_end=5.0, stride=1,
+                        stop_condition=lambda t, m: m < 1.0)
         ts = evolve(make_ensemble(xs, mdl, seed=0), mdl, cfg)
         assert ts.times[-1] < 1.0
 
@@ -165,8 +153,8 @@ class TestAgainstMeanFieldOracle:
         g = build_gibbs(mdl, m_start)
         n = 400_000
         xs = sample_measure(g, n, seed=17)
-        cfg = SimConfig(dt=0.002, t_end=1.0, n_particles=n, seed=17,
-                        stride=100, observers={"mean_x": np.mean})
+        cfg = SimConfig(dt=0.002, t_end=1.0, stride=100,
+                        observers={"mean_x": np.mean})
         ts = evolve(make_ensemble(xs, mdl, seed=17), mdl, cfg)
         se = 1.0 / np.sqrt(n)      # frozen-law std is exactly 1
         assert abs(ts["mean_x"][-1] - target) < 4 * se
@@ -206,8 +194,7 @@ class TestAgainstMeanFieldOracle:
         n = 20_000
         xs = sample_measure(mu_d, n, seed=2)
         band = 10 * delta
-        cfg = SimConfig(dt=None, t_end=40.0, n_particles=n, seed=2,
-                        stride=50,
+        cfg = SimConfig(dt=None, t_end=40.0, stride=50,
                         stop_condition=lambda t, m: abs(m) > 2 * band)
         ts = evolve(make_ensemble(xs, mdl, seed=2), mdl, cfg)
         m = np.abs(ts["m_hat"])
@@ -224,33 +211,10 @@ class TestAgainstMeanFieldOracle:
         finals = []
         for seed in range(64):
             xs = sample_measure(g, 2000, seed=100 + seed)
-            cfg = SimConfig(dt=None, t_end=0.5, n_particles=2000,
-                            seed=100 + seed, stride=100)
+            cfg = SimConfig(dt=None, t_end=0.5, stride=100)
             ts = evolve(make_ensemble(xs, mdl, seed=100 + seed), mdl, cfg)
             finals.append(ts["m_hat"][-1])
         finals = np.array(finals)
         se_mean = finals.std(ddof=1) / np.sqrt(finals.size)
         assert abs(finals.mean()) < 4 * se_mean
 
-
-class TestSnapshot:
-    def test_roundtrip(self, tmp_path):
-        mdl = dawson_model(beta=1.0, sigma=0.7)
-        ens = make_ensemble(np.array([0.25, -1.5, 3.0]), mdl, seed=7,
-                            time=2.5)
-        pb, pj = tmp_path / "pos.bin", tmp_path / "pos.json"
-        save_snapshot(pb, pj, ens)
-        back = load_snapshot(pb, pj, mdl)
-        assert np.array_equal(back.positions, ens.positions)
-        assert back.time == ens.time and back.seed == ens.seed
-        meta = json.loads(pj.read_text())
-        assert meta == {"n": 3, "t": 2.5, "seed": 7}
-
-    def test_size_mismatch_detected(self, tmp_path):
-        mdl = dawson_model(beta=1.0, sigma=0.7)
-        ens = make_ensemble(np.zeros(4), mdl, seed=1)
-        pb, pj = tmp_path / "p.bin", tmp_path / "p.json"
-        save_snapshot(pb, pj, ens)
-        np.zeros(3).astype("<f8").tofile(pb)
-        with pytest.raises(ValueError, match="sidecar"):
-            load_snapshot(pb, pj, mdl)

@@ -4,10 +4,9 @@ from scipy.stats import norm
 
 from mvstab.metrics import WeightedNormConfig, weighted_dual_norm_lb
 from mvstab.model import cosine_model
-from mvstab.perturb import (default_truncation_level, dump_positions,
-                            make_perturbation, perturbed_measure,
-                            quantile_function, sample_measure,
-                            truncate_center)
+from mvstab.perturb import (default_truncation_level, make_perturbation,
+                            perturbed_measure, quantile_function,
+                            sample_measure, truncate_center)
 from mvstab.spectrum import analyze_branch
 from mvstab.stationary import GridSpec, build_gibbs
 
@@ -207,15 +206,3 @@ class TestDualNormScaling:
         assert vals[1] / vals[0] == pytest.approx(10.0, rel=0.05)
         assert vals[2] / vals[1] == pytest.approx(10.0, rel=0.05)
 
-
-class TestDump:
-    def test_binary_roundtrip(self, tmp_path):
-        xs = np.array([1.5, -2.25, 0.0])
-        p = tmp_path / "pos.bin"
-        dump_positions(p, xs)
-        assert np.array_equal(np.fromfile(p, dtype="<f8"), xs)
-
-    def test_csv(self, tmp_path):
-        p = tmp_path / "pos.csv"
-        dump_positions(p, np.array([1.0, 2.0]), fmt="csv")
-        assert np.allclose(np.genfromtxt(p, skip_header=1), [1.0, 2.0])

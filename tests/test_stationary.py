@@ -189,13 +189,10 @@ class TestStabilityIndicator:
 class TestCriticalSigma:
     def test_exists_for_dawson(self):
         mdl = dawson_model(beta=1.0, sigma=0.6)
-        cs = critical_sigma(mdl, (0.1, 3.0))
-        assert cs.sigma_c is not None
-        assert cs.sigma_c == pytest.approx(SIGMA_C_DAWSON_BETA1, abs=1e-9)
-        lo, hi = cs.bracket
-        assert lo <= cs.sigma_c <= hi
-        assert stability_indicator(mdl.with_params(sigma=0.8 * cs.sigma_c), 0.0) > 1
-        assert stability_indicator(mdl.with_params(sigma=1.2 * cs.sigma_c), 0.0) < 1
+        sigma_c = critical_sigma(mdl, (0.1, 3.0))
+        assert sigma_c == pytest.approx(SIGMA_C_DAWSON_BETA1, abs=1e-9)
+        assert stability_indicator(mdl.with_params(sigma=0.8 * sigma_c), 0.0) > 1
+        assert stability_indicator(mdl.with_params(sigma=1.2 * sigma_c), 0.0) < 1
 
     def test_closed_form(self):
         # for the quartic well at beta=1 the crossing solves
@@ -205,11 +202,10 @@ class TestCriticalSigma:
         assert SIGMA_C_DAWSON_BETA1 == pytest.approx(closed, abs=1e-10)
 
     def test_absent_for_beta_zero(self):
-        cs = critical_sigma(dawson_model(beta=0.0, sigma=0.6), (0.1, 3.0))
-        assert cs.sigma_c is None
-        assert np.allclose(cs.indicator_curve[:, 1], 0.0)
+        mdl = dawson_model(beta=0.0, sigma=0.6)
+        assert critical_sigma(mdl, (0.1, 3.0)) is None
+        assert stability_indicator(mdl, 0.0) == 0.0
 
     def test_absent_for_subthreshold_cosine(self):
         # at m = 0 the cosine covariance indicator vanishes identically
-        cs = critical_sigma(cosine_model(beta=0.5), (0.5, 2.5))
-        assert cs.sigma_c is None
+        assert critical_sigma(cosine_model(beta=0.5), (0.5, 2.5)) is None
