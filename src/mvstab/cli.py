@@ -55,11 +55,16 @@ def _choice(*allowed):
     return parse
 
 
-def _positive(raw):
-    value = float(raw)
-    if not value > 0:
-        raise ValueError(f"must be positive or auto, got {raw!r}")
-    return value
+def _positive(parse, noun):
+    def check(raw):
+        value = parse(raw)
+        if not value > 0:
+            raise ValueError(f"must be {noun}, got {raw!r}")
+        return value
+    return check
+
+
+_count = _positive(int, "a positive integer")
 
 
 # section -> key -> (parser that also checks the value, default as it would
@@ -72,11 +77,12 @@ CONFIG_KEYS = {
               "sigma": (_optional(float), None)},
     "grid": {"L": (_auto(float), "auto"),
              "n_nodes": (int, "3200")},
-    "basis": {"degree": (int, "120")},
+    "basis": {"degree": (_count, "120")},
     "stationary": {"scan_min": (_optional(float), None),
                    "scan_max": (_optional(float), None),
                    "n_scan": (int, "2001")},
-    "spectrum": {"root": (str, "all")},
+    "spectrum": {"root": (lambda raw: raw if raw == "all" else float(raw),
+                          "all")},
     "perturbation": {
         "delta": (float, "1e-3"),
         "M": (_auto(float), "auto"),
@@ -84,18 +90,18 @@ CONFIG_KEYS = {
                       "adjoint-re"),
         "custom_file": (_optional(str), None)},
     "simulation": {"engine": (_choice("fp", "particles"), "fp"),
-                   "n_particles": (int, "100000"),
-                   "dt": (_auto(_positive), "auto"),
+                   "n_particles": (_count, "100000"),
+                   "dt": (_auto(_positive(float, "positive or auto")), "auto"),
                    "t_end": (float, "40.0"),
                    "seed": (int, "0"),
-                   "stride": (int, "25"),
-                   "n_cells": (int, "1600"),
+                   "stride": (_count, "25"),
+                   "n_cells": (_count, "1600"),
                    "stop_band_factor": (float, "3.0")},
     "metric": {"p0": (float, "0.0"),
                "phi0": (_choice("r", "r_wedge_1"), "r")},
     "sweep": {"sigma_min": (float, "0.3"),
               "sigma_max": (float, "1.3"),
-              "n_sigma": (int, "21")},
+              "n_sigma": (_count, "21")},
     "output": {"directory": (str, "out")},
 }
 
@@ -300,7 +306,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         targets = rep.roots
     else:
         targets = [min(rep.roots,
-                       key=lambda r: abs(r - float(cfg.root)))]
+                       key=lambda r: abs(r - cfg.root))]
     blocks = []
     files = []
     for i, m_root in enumerate(targets):

@@ -3,14 +3,15 @@ transport solver ("fp") or the interacting particles ("particles")."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .fokkerplanck import (auto_grid, default_dt, discrete_stationary,
-                           fp_evolve, state_from_density)
+from .fokkerplanck import (auto_grid, discrete_stationary, fp_evolve,
+                           state_from_density)
 from .metrics import TimeSeries, empirical_cdf, w1_density
 from .numerics import fit_exp_rate
-from .particles import SimConfig, evolve, make_ensemble
+from .particles import evolve, make_ensemble
 from .perturb import make_perturbation, sample_measure
 from .spectrum import BranchAnalysis
 
@@ -75,12 +76,8 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         obs = {"fstar": lambda rho: float(np.dot(fstar_x, rho) * dx),
                "w1": lambda rho: w1_density(x, np.cumsum(rho) * dx, ref_cdf)}
         rho0 = ss.rho * (1.0 + delta * spec.g_M_at(x))
-        series = fp_evolve(
-            state_from_density(rho0, model, grid), model, grid, t_end=t_end,
-            dt=default_dt(model, grid) if dt is None else dt,
-            observers=obs, stride=stride,
-            stop_condition=lambda t, m: abs(m - m_center) > stop_level)
-        m_ser = series["m"]
+        run = partial(fp_evolve, state_from_density(rho0, model, grid),
+                      model, grid)
     elif engine == "particles":
         m_center, ref_cdf = gibbs.m, gibbs.cdf
         fstar_x = branch.fstar_at(nodes)
@@ -89,15 +86,14 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                                                           fstar_x))),
                "w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
-        sim = SimConfig(
-            dt=dt, t_end=t_end, observers=obs, stride=stride,
-            stop_condition=lambda t, m: abs(m - m_center) > stop_level)
         xs = sample_measure(mu_delta, n_particles, seed=seed)
-        series = evolve(make_ensemble(xs, model, seed=seed), model, sim)
-        m_ser = series["m_hat"]
+        run = partial(evolve, make_ensemble(xs, model, seed=seed), model)
     else:
         raise ValueError(f"engine must be fp or particles, got {engine!r}")
-    times, pair, w1 = series.times, series["fstar"] - fstar_ref, series["w1"]
+    series = run(t_end=t_end, dt=dt, observers=obs, stride=stride,
+                 stop_condition=lambda t, m: abs(m - m_center) > stop_level)
+    times, m_ser = series.times, series["m"]
+    pair, w1 = series["fstar"] - fstar_ref, series["w1"]
 
     escape = np.abs(m_ser - m_center) > band
     side = np.sign(m_ser[-1] - m_center)

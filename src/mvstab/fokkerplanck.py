@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .metrics import TimeSeries
+from .metrics import TimeSeries, record_run
 from .model import ScalarMeanFieldModel
 from .numerics import find_roots
 from .stationary import auto_half_width
@@ -180,43 +180,23 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
     return grid.dx / (2.0 * max(bmax, 1e-12))
 
 
-def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid,
-              t_end: float, dt: float,
+def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid, *,
+              t_end: float, dt: float | None = None,
               observers: dict[str, Callable] | None = None,
               stride: int = 1,
               stop_condition: Callable[[float, float], bool] | None = None
               ) -> TimeSeries:
-    """Evolve to t_end recording (t, m, observer values) per stride.
+    """Evolve through ``metrics.record_run`` with the keywords of the
+    particle engine's ``evolve``.
 
-    As for the particle engine, observers map channel names to functions
-    of the state array returning one float; here the state array is the
-    cell density.  The first record is the initial state; afterwards one
-    record lands every ``stride`` steps and at the final step.
+    Observers are functions of the cell density; ``dt=None`` selects
+    ``default_dt``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     stepper = FpStepper(model, grid)
-    observers = observers or {}
-    names = sorted(observers)
-    times = [state.t]
-    ms = [state.m]
-    obs = {k: [float(observers[k](state.rho))] for k in names}
-
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    cur = state
-    for s in range(1, n_steps + 1):
-        cur = stepper.step(cur, dt)
-        if s % stride == 0 or s == n_steps:
-            times.append(cur.t)
-            ms.append(cur.m)
-            for k in names:
-                obs[k].append(float(observers[k](cur.rho)))
-            if stop_condition is not None and stop_condition(cur.t, cur.m):
-                break
-
-    channels = {"m": np.array(ms)}
-    channels.update({k: np.array(v) for k, v in obs.items()})
-    return TimeSeries(times=np.array(times), channels=channels)
+    dt = default_dt(model, grid) if dt is None else dt
+    return record_run(state, lambda s: stepper.step(s, dt), t_end=t_end,
+                      dt=dt, view=lambda s: s.rho, observers=observers,
+                      stride=stride, stop_condition=stop_condition)
 
 
 def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,
@@ -255,7 +235,8 @@ def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
     Coefficients are frozen at the stationary state: nu feels the frozen
     flux operator plus the rank-one source -d/dx(beta c rho_inf) * (nu, g)
     discretized in flux form, so the total signed mass stays zero.  The
-    channel ``nu`` holds one row of cell values per record.
+    run steps an ``FpState`` whose ``rho`` is nu and whose ``m`` is
+    (nu, g); the channel ``nu`` holds one row of cell values per record.
     """
     stepper = FpStepper(model, grid)
     ab = stepper.implicit_band(m_inf, dt)
@@ -266,18 +247,16 @@ def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
     src_flux = model.beta * stepper.c_if * rho_if
     gc = model.g(grid.centers)
 
-    nu = np.asarray(nu0, dtype=float).copy()
-    times = [0.0]
-    frames = [nu.copy()]
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    for s in range(1, n_steps + 1):
-        dm = float(np.dot(gc, nu) * dx)
+    def advance(cur: FpState) -> FpState:
         div = np.zeros(n)
-        fl = src_flux * dm
+        fl = src_flux * cur.m
         div[:-1] -= fl / dx
         div[1:] += fl / dx
-        nu = solve_banded((1, 1), ab, nu + dt * div)
-        if s % stride == 0 or s == n_steps:
-            times.append(s * dt)
-            frames.append(nu.copy())
-    return TimeSeries(times=np.array(times), channels={"nu": np.array(frames)})
+        nu = solve_banded((1, 1), ab, cur.rho + dt * div)
+        return FpState(rho=nu, t=cur.t + dt, m=float(np.dot(gc, nu) * dx))
+
+    nu0 = np.asarray(nu0, dtype=float)
+    start = FpState(rho=nu0, t=0.0, m=float(np.dot(gc, nu0) * dx))
+    return record_run(start, advance, t_end=t_end, dt=dt,
+                      view=lambda s: s.rho, observers={"nu": np.copy},
+                      stride=stride)

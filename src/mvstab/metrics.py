@@ -1,4 +1,5 @@
-"""Distances between laws and the time-series container.
+"""Distances between laws, the time-series container and the record
+loop both escape engines run through.
 
 Ships the exact 1-D L1 transport distance (sorted quantile coupling for
 samples, CDF-difference integral for tabulated densities) and a
@@ -41,6 +42,49 @@ class TimeSeries:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
+
+
+def record_run(state, advance: Callable, *, t_end: float, dt: float,
+               view: Callable, observers: dict[str, Callable] | None = None,
+               stride: int = 1,
+               stop_condition: Callable[[float, float], bool] | None = None
+               ) -> TimeSeries:
+    """Step a state to t_end, recording its ``t``, ``m`` and observers.
+
+    ``advance(state)`` returns the state one step of ``dt`` later and
+    ``view(state)`` the array each observer reads.  The first record is
+    the initial state; afterwards one record lands every ``stride``
+    steps and at the last step.  ``stop_condition(t, m)`` is asked at
+    records only and ends the run when true.  The series has the
+    channel ``m`` plus one channel per observer.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
+    observers = observers or {}
+    names = sorted(observers)
+    times, ms, obs = [], [], {k: [] for k in names}
+
+    def record(cur):
+        times.append(cur.t)
+        ms.append(cur.m)
+        arr = view(cur)
+        for k in names:
+            obs[k].append(observers[k](arr))
+
+    record(state)
+    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    cur = state
+    for s in range(1, n_steps + 1):
+        cur = advance(cur)
+        if s % stride == 0 or s == n_steps:
+            record(cur)
+            if stop_condition is not None and stop_condition(cur.t, cur.m):
+                break
+    channels = {"m": np.array(ms)}
+    channels.update({k: np.array(v) for k, v in obs.items()})
+    return TimeSeries(times=np.array(times), channels=channels)
 
 
 def w1_empirical(xs, ys) -> float:

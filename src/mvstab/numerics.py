@@ -2,11 +2,13 @@
 
 Quadrature on a truncated real line, bracketed root finding, dense
 eigensolves (symmetric and general), and exponential-rate fitting.
-Everything operates on plain numpy arrays and is free of mutable
-module state, so all functions are safe to call concurrently.
+Everything operates on plain numpy arrays; the only module state is a
+cache of Gauss-Legendre panel rules, so all functions are safe to call
+concurrently.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,11 @@ class QuadratureRule:
         return self.nodes.size
 
 
+# leggauss takes ~8 ms at the default degree and every Gibbs law asks
+# for a rule; the cached arrays are shared and only read below
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def composite_gauss_legendre(L: float, n_panels: int = 24,
                              panel_degree: int = 130) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [-L, L].
@@ -59,7 +66,7 @@ def composite_gauss_legendre(L: float, n_panels: int = 24,
         raise ValueError(f"truncation half-width must be positive, got {L}")
     if n_panels < 1 or panel_degree < 2:
         raise ValueError("need n_panels >= 1 and panel_degree >= 2")
-    x01, w01 = np.polynomial.legendre.leggauss(panel_degree)
+    x01, w01 = _leggauss(panel_degree)
     edges = np.linspace(-L, L, n_panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0

@@ -1,9 +1,11 @@
 """Interacting-particle simulation of the mean-field SDE.
 
 N particles follow explicit Euler-Maruyama steps in which the law is
-closed through the empirical statistic m_hat = mean(g(X^i)).  One m_hat
-is computed per step and shared by all particles (synchronous coupling),
-so the cost per step stays O(N) for the scalar interaction.
+closed through the empirical statistic m = mean(g(X^i)).  One m is
+computed per step and shared by all particles (synchronous coupling),
+so the cost per step stays O(N) for the scalar interaction.  Like the
+transport solver, ``evolve`` records ``t``, ``m`` and observers through
+``metrics.record_run`` and takes the keywords of ``fp_evolve``.
 
 Reproducibility: the Gaussian increments of step s are drawn from a
 counter-based generator keyed by (seed, s), with particle i taking the
@@ -13,12 +15,12 @@ so runs are bit-identical for a fixed seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .metrics import TimeSeries
+from .metrics import TimeSeries, record_run
 from .model import ScalarMeanFieldModel
 
 
@@ -31,21 +33,21 @@ class Ensemble:
     """Particle positions with the cached empirical coupling statistic."""
 
     positions: np.ndarray
-    time: float
+    t: float
     seed: int
     step_index: int
-    m_hat: float
+    m: float
 
     @property
     def n(self) -> int:
         return self.positions.size
 
 
-def make_ensemble(positions, model: ScalarMeanFieldModel, seed: int,
-                  time: float = 0.0) -> Ensemble:
+def make_ensemble(positions, model: ScalarMeanFieldModel,
+                  seed: int) -> Ensemble:
     positions = np.asarray(positions, dtype=float)
-    return Ensemble(positions=positions, time=float(time), seed=int(seed),
-                    step_index=0, m_hat=float(np.mean(model.g(positions))))
+    return Ensemble(positions=positions, t=0.0, seed=int(seed),
+                    step_index=0, m=float(np.mean(model.g(positions))))
 
 
 def step_rng(seed: int, step_index: int) -> np.random.Generator:
@@ -55,28 +57,27 @@ def step_rng(seed: int, step_index: int) -> np.random.Generator:
 
 
 def apply_step(positions: np.ndarray, model: ScalarMeanFieldModel,
-               dt: float, m_hat: float, noise: np.ndarray) -> np.ndarray:
+               dt: float, m: float, noise: np.ndarray) -> np.ndarray:
     """Pure Euler-Maruyama update with explicit Gaussian increments."""
-    return (positions + model.drift(positions, m_hat) * dt
+    return (positions + model.drift(positions, m) * dt
             + model.sigma * np.sqrt(dt) * noise)
 
 
-def step(ensemble: Ensemble, model: ScalarMeanFieldModel, dt: float,
-         rng: np.random.Generator | None = None) -> Ensemble:
-    """Advance the ensemble by one step; m_hat is recomputed once."""
+def step(ensemble: Ensemble, model: ScalarMeanFieldModel,
+         dt: float) -> Ensemble:
+    """Advance the ensemble by one step; m is recomputed once."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if rng is None:
-        rng = step_rng(ensemble.seed, ensemble.step_index)
-    noise = rng.standard_normal(ensemble.n)
-    new = apply_step(ensemble.positions, model, dt, ensemble.m_hat, noise)
+    noise = step_rng(ensemble.seed, ensemble.step_index).standard_normal(
+        ensemble.n)
+    new = apply_step(ensemble.positions, model, dt, ensemble.m, noise)
     if not np.all(np.isfinite(new)):
         bad = int(np.argmax(~np.isfinite(new)))
         raise BlowUpError(
-            f"particle {bad} diverged at t={ensemble.time + dt:.6g}")
-    return Ensemble(positions=new, time=ensemble.time + dt,
+            f"particle {bad} diverged at t={ensemble.t + dt:.6g}")
+    return Ensemble(positions=new, t=ensemble.t + dt,
                     seed=ensemble.seed, step_index=ensemble.step_index + 1,
-                    m_hat=float(np.mean(model.g(new))))
+                    m=float(np.mean(model.g(new))))
 
 
 def relaxation_dt_bound(model: ScalarMeanFieldModel,
@@ -107,60 +108,23 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel,
     return 0.01 / max(da, 1e-12)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation horizon, step size, and observer set.
+def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
+           t_end: float, dt: float | None = None,
+           observers: dict[str, Callable[[np.ndarray], float]] | None = None,
+           stride: int = 1,
+           stop_condition: Callable[[float, float], bool] | None = None
+           ) -> TimeSeries:
+    """Run the particle system through ``metrics.record_run``.
 
-    ``observers`` map channel names to functions of the position array
-    returning one float (ensemble means, distances to a reference law,
-    ...), recorded every ``stride`` steps.  ``dt=None`` selects the
-    relaxation guard bound.  ``stop_condition(t, m_hat)`` may end a run
-    early at a record point.
-    """
-
-    dt: float | None
-    t_end: float
-    observers: dict[str, Callable[[np.ndarray], float]] = field(
-        default_factory=dict)
-    stride: int = 1
-    stop_condition: Callable[[float, float], bool] | None = None
-
-
-def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel,
-           config: SimConfig) -> TimeSeries:
-    """Run the particle system, recording m_hat and observer means.
-
-    The first record is the initial state; afterwards one record lands
-    every ``stride`` steps and at the final step.  Fixed seeds give
-    bit-identical series.
+    Observers are functions of the position array; ``dt=None`` selects
+    the relaxation guard bound, and a larger step is rejected.  Fixed
+    seeds give bit-identical series.
     """
     guard = relaxation_dt_bound(model, ensemble.positions)
-    dt = guard if config.dt is None else float(config.dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = guard if dt is None else float(dt)
     if dt > guard * (1 + 1e-12):
         raise ValueError(
             f"dt={dt:g} exceeds the relaxation guard {guard:g}")
-    n_steps = int(np.ceil(config.t_end / dt - 1e-12))
-
-    names = sorted(config.observers)
-    times = [ensemble.time]
-    m_hats = [ensemble.m_hat]
-    obs = {k: [float(config.observers[k](ensemble.positions))] for k in names}
-
-    cur = ensemble
-    for s in range(1, n_steps + 1):
-        cur = step(cur, model, dt)
-        if s % config.stride == 0 or s == n_steps:
-            times.append(cur.time)
-            m_hats.append(cur.m_hat)
-            for k in names:
-                obs[k].append(float(config.observers[k](cur.positions)))
-            if config.stop_condition is not None and \
-                    config.stop_condition(cur.time, cur.m_hat):
-                break
-
-    channels = {"m_hat": np.array(m_hats)}
-    channels.update({k: np.array(v) for k, v in obs.items()})
-    return TimeSeries(times=np.array(times), channels=channels)
-
+    return record_run(ensemble, lambda e: step(e, model, dt), t_end=t_end,
+                      dt=dt, view=lambda e: e.positions, observers=observers,
+                      stride=stride, stop_condition=stop_condition)

@@ -18,7 +18,7 @@ from mvstab.fokkerplanck import (auto_grid, default_dt, discrete_stationary,
 from mvstab.metrics import empirical_cdf, w1_density, w1_empirical
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import dense_spectrum, find_roots, fit_exp_rate
-from mvstab.particles import SimConfig, evolve, make_ensemble
+from mvstab.particles import evolve, make_ensemble
 from mvstab.perturb import make_perturbation, sample_measure
 from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              dirichlet_matrix, full_generator_matrix,
@@ -234,10 +234,10 @@ def test_c07_particle_escape(dawson08):
         w1_0 = w1_density(nodes, empirical_cdf(xs, nodes), ref_cdf)
         obs = {"w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
-        cfg = SimConfig(dt=None, t_end=40.0, observers=obs, stride=25,
-                        stop_condition=lambda t, m: abs(m) > 3 * band)
-        ts = evolve(make_ensemble(xs, model, seed=seed), model, cfg)
-        m = ts["m_hat"]
+        ts = evolve(make_ensemble(xs, model, seed=seed), model, t_end=40.0,
+                    observers=obs, stride=25,
+                    stop_condition=lambda t, m: abs(m) > 3 * band)
+        m = ts["m"]
         out = np.abs(m) > band
         exited = bool(out.any())
         exits += exited
@@ -312,14 +312,14 @@ def test_c09_engine_agreement(dawson08):
 
     def run(seed):
         xs = sample_measure(gibbs0, n, seed=seed)
-        cfg = SimConfig(dt=None, t_end=5.0, stride=50)
-        return evolve(make_ensemble(xs, model, seed=seed), model, cfg)
+        return evolve(make_ensemble(xs, model, seed=seed), model, t_end=5.0,
+                      stride=50)
 
     # numpy releases the GIL in the particle step, so two threads halve
     # the wall time; runs are keyed by seed and do not depend on order
     with ThreadPoolExecutor(max_workers=2) as ex:
         runs = list(ex.map(run, range(n_runs)))
-    m_runs = np.array([ts["m_hat"] for ts in runs])
+    m_runs = np.array([ts["m"] for ts in runs])
     ref = np.interp(runs[0].times, fp.times, fp["m"])
     se = m_runs.std(axis=0, ddof=1) / math.sqrt(n_runs)
     z = np.abs(m_runs.mean(axis=0) - ref) / se

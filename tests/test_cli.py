@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ class TestConfig:
         cfg = write_cfg(tmp_path, dt="0", t_end=0.5)
         assert run("instability", cfg) == 1
         assert "dt: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulation", "stride", "0"), ("simulation", "stride", "-3"),
+        ("simulation", "n_cells", "0"), ("simulation", "n_particles", "0"),
+        ("sweep", "n_sigma", "0"), ("basis", "degree", "0"),
+        ("spectrum", "root", "abc")])
+    def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
+                                               section, key, value):
+        path = Path(write_cfg(tmp_path, t_end=0.5))
+        line = f"{key} = {value}\n"
+        text, found = re.subn(rf"^{key} = .*\n", line, path.read_text(),
+                              flags=re.M)
+        path.write_text(text if found else text + f"[{section}]\n{line}")
+        assert run("instability", str(path)) == 1
+        assert f"error: [{section}] {key}: " in capsys.readouterr().err
 
 
 class TestStationaryCommand:

@@ -1,11 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mvstab.metrics import (TimeSeries, WeightedNormConfig, empirical_cdf,
-                            ramp_dictionary, w1_density, w1_empirical,
-                            weighted_dual_norm_lb)
+                            ramp_dictionary, record_run, w1_density,
+                            w1_empirical, weighted_dual_norm_lb)
 
 
 def brute_force_w1(xs, ys):
@@ -184,3 +185,37 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="length"):
             TimeSeries(times=np.array([0.0, 1.0]),
                        channels={"m": np.zeros(3)})
+
+
+def count_run(t_end, dt=0.5, **kw):
+    """record_run on a trivial state whose m counts the steps taken."""
+    return record_run(SimpleNamespace(t=0.0, m=0),
+                      lambda c: SimpleNamespace(t=c.t + dt, m=c.m + 1),
+                      t_end=t_end, dt=dt, view=lambda c: np.array([c.m]),
+                      **kw)
+
+
+class TestRecordRun:
+    def test_records_every_stride_and_the_last_step(self):
+        ts = count_run(5.0, stride=3, observers={"twice": lambda v: 2 * v})
+        assert ts["m"].tolist() == [0, 3, 6, 9, 10]
+        assert ts.times.tolist() == [0.0, 1.5, 3.0, 4.5, 5.0]
+        # observers read the view and keep whatever they return
+        assert ts["twice"].tolist() == [[0], [6], [12], [18], [20]]
+
+    def test_stop_condition_asked_at_records_only(self):
+        asked = []
+
+        def stop(t, m):
+            asked.append(m)
+            return m >= 4
+        ts = count_run(5.0, stride=3, stop_condition=stop)
+        assert asked == [3, 6]
+        assert ts["m"].tolist() == [0, 3, 6]
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(stride=0), "stride"), (dict(stride=-3), "stride"),
+        (dict(dt=0.0), "dt"), (dict(dt=-0.5), "dt")])
+    def test_bad_stride_or_dt_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            count_run(5.0, **kw)

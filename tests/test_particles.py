@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mvstab.model import ScalarMeanFieldModel, cosine_model, dawson_model
-from mvstab.particles import (BlowUpError, SimConfig, apply_step, evolve,
-                              make_ensemble, relaxation_dt_bound, step)
+from mvstab.particles import (BlowUpError, apply_step, evolve, make_ensemble,
+                              relaxation_dt_bound, step)
 from mvstab.perturb import sample_measure
 from mvstab.stationary import build_gibbs
 
@@ -28,15 +28,15 @@ class TestStep:
         ens = make_ensemble(np.array([1.0]), mdl, seed=0)
         out = step(ens, mdl, dt=0.1)
         assert out.positions[0] == pytest.approx(0.9, abs=1e-15)
-        assert out.time == pytest.approx(0.1)
+        assert out.t == pytest.approx(0.1)
 
     def test_m_hat_recomputed(self):
         mdl = dawson_model(beta=1.0, sigma=0.7)
         rng = np.random.default_rng(3)
         ens = make_ensemble(rng.standard_normal(500), mdl, seed=3)
         out = step(ens, mdl, dt=1e-3)
-        assert out.m_hat == pytest.approx(float(np.mean(out.positions)),
-                                          abs=1e-12)
+        assert out.m == pytest.approx(float(np.mean(out.positions)),
+                                      abs=1e-12)
 
     def test_blow_up_reports_particle_and_time(self):
         explosive = ScalarMeanFieldModel(
@@ -80,28 +80,25 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         g = build_gibbs(mdl, 0.0)
         xs = sample_measure(g, 2000, seed=9)
-        cfg = SimConfig(dt=None, t_end=0.2, stride=10)
-        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg)
-        b = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg)
+        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, stride=10)
+        b = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, stride=10)
         assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a["m_hat"], b["m_hat"])
+        assert np.array_equal(a["m"], b["m"])
 
     def test_different_seed_differs(self):
         mdl = dawson_model(beta=1.0, sigma=0.7)
         g = build_gibbs(mdl, 0.0)
         xs = sample_measure(g, 2000, seed=9)
-        cfg = SimConfig(dt=None, t_end=0.2)
-        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, cfg)
-        b = evolve(make_ensemble(xs, mdl, seed=10), mdl, cfg)
-        assert not np.array_equal(a["m_hat"], b["m_hat"])
+        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2)
+        b = evolve(make_ensemble(xs, mdl, seed=10), mdl, t_end=0.2)
+        assert not np.array_equal(a["m"], b["m"])
 
     def test_dt_guard_enforced(self):
         mdl = dawson_model(beta=1.0, sigma=0.7)
         ens = make_ensemble(np.zeros(10), mdl, seed=0)
         guard = relaxation_dt_bound(mdl)
-        cfg = SimConfig(dt=5 * guard, t_end=1.0)
         with pytest.raises(ValueError, match="relaxation guard"):
-            evolve(ens, mdl, cfg)
+            evolve(ens, mdl, t_end=1.0, dt=5 * guard)
 
     def test_stationary_branch_band(self):
         # initialized on the outer branch the empirical statistic stays
@@ -111,28 +108,25 @@ class TestEvolve:
         g = build_gibbs(mdl, m_plus)
         n = 20_000
         xs = sample_measure(g, n, seed=5)
-        cfg = SimConfig(dt=None, t_end=5.0, stride=20)
-        ts = evolve(make_ensemble(xs, mdl, seed=5), mdl, cfg)
+        ts = evolve(make_ensemble(xs, mdl, seed=5), mdl, t_end=5.0, stride=20)
         var = g.moment(lambda x: x * x) - m_plus ** 2
         se = np.sqrt(var / n)
-        assert np.abs(ts["m_hat"] - m_plus).max() <= 5 * se
+        assert np.abs(ts["m"] - m_plus).max() <= 5 * se
 
     def test_observers_recorded(self):
         mdl = dawson_model(beta=1.0, sigma=0.7)
         xs = np.linspace(-1, 1, 100)
-        cfg = SimConfig(dt=None, t_end=0.05,
-                        observers={"x2": lambda p: float(np.mean(p * p))},
-                        stride=5)
-        ts = evolve(make_ensemble(xs, mdl, seed=1), mdl, cfg)
+        ts = evolve(make_ensemble(xs, mdl, seed=1), mdl, t_end=0.05,
+                    observers={"x2": lambda p: float(np.mean(p * p))},
+                    stride=5)
         assert "x2" in ts.channels
         assert ts["x2"][0] == pytest.approx(np.mean(xs ** 2))
 
     def test_stop_condition(self):
         mdl = noiseless_ou(sigma=0.0)
         xs = np.full(50, 2.0)
-        cfg = SimConfig(dt=0.005, t_end=5.0, stride=1,
-                        stop_condition=lambda t, m: m < 1.0)
-        ts = evolve(make_ensemble(xs, mdl, seed=0), mdl, cfg)
+        ts = evolve(make_ensemble(xs, mdl, seed=0), mdl, t_end=5.0, dt=0.005,
+                    stride=1, stop_condition=lambda t, m: m < 1.0)
         assert ts.times[-1] < 1.0
 
 
@@ -153,9 +147,8 @@ class TestAgainstMeanFieldOracle:
         g = build_gibbs(mdl, m_start)
         n = 400_000
         xs = sample_measure(g, n, seed=17)
-        cfg = SimConfig(dt=0.002, t_end=1.0, stride=100,
-                        observers={"mean_x": np.mean})
-        ts = evolve(make_ensemble(xs, mdl, seed=17), mdl, cfg)
+        ts = evolve(make_ensemble(xs, mdl, seed=17), mdl, t_end=1.0, dt=0.002,
+                    stride=100, observers={"mean_x": np.mean})
         se = 1.0 / np.sqrt(n)      # frozen-law std is exactly 1
         assert abs(ts["mean_x"][-1] - target) < 4 * se
 
@@ -194,10 +187,9 @@ class TestAgainstMeanFieldOracle:
         n = 20_000
         xs = sample_measure(mu_d, n, seed=2)
         band = 10 * delta
-        cfg = SimConfig(dt=None, t_end=40.0, stride=50,
-                        stop_condition=lambda t, m: abs(m) > 2 * band)
-        ts = evolve(make_ensemble(xs, mdl, seed=2), mdl, cfg)
-        m = np.abs(ts["m_hat"])
+        ts = evolve(make_ensemble(xs, mdl, seed=2), mdl, t_end=40.0,
+                    stride=50, stop_condition=lambda t, m: abs(m) > 2 * band)
+        m = np.abs(ts["m"])
         assert m.max() > band            # left the band
         assert ts.times[-1] < 40.0       # well before the horizon
         # moving toward the nonzero branch, away from the origin
@@ -211,9 +203,9 @@ class TestAgainstMeanFieldOracle:
         finals = []
         for seed in range(64):
             xs = sample_measure(g, 2000, seed=100 + seed)
-            cfg = SimConfig(dt=None, t_end=0.5, stride=100)
-            ts = evolve(make_ensemble(xs, mdl, seed=100 + seed), mdl, cfg)
-            finals.append(ts["m_hat"][-1])
+            ts = evolve(make_ensemble(xs, mdl, seed=100 + seed), mdl,
+                        t_end=0.5, stride=100)
+            finals.append(ts["m"][-1])
         finals = np.array(finals)
         se_mean = finals.std(ddof=1) / np.sqrt(finals.size)
         assert abs(finals.mean()) < 4 * se_mean
