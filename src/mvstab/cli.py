@@ -55,10 +55,10 @@ def _choice(*allowed):
     return parse
 
 
-def _positive(parse, noun):
+def _positive(parse, noun, zero_ok=False):
     def check(raw):
         value = parse(raw)
-        if not value > 0:
+        if not (value > 0 or zero_ok and value == 0):
             raise ValueError(f"must be {noun}, got {raw!r}")
         return value
     return check
@@ -76,15 +76,15 @@ CONFIG_KEYS = {
               "beta": (float, "1.0"),
               "sigma": (_optional(float), None)},
     "grid": {"L": (_auto(float), "auto"),
-             "n_nodes": (int, "3200")},
+             "n_nodes": (_count, "3200")},
     "basis": {"degree": (_count, "120")},
     "stationary": {"scan_min": (_optional(float), None),
                    "scan_max": (_optional(float), None),
-                   "n_scan": (int, "2001")},
+                   "n_scan": (_count, "2001")},
     "spectrum": {"root": (lambda raw: raw if raw == "all" else float(raw),
                           "all")},
     "perturbation": {
-        "delta": (float, "1e-3"),
+        "delta": (_positive(float, "nonnegative", zero_ok=True), "1e-3"),
         "M": (_auto(float), "auto"),
         "direction": (_choice("adjoint-re", "adjoint-im", "custom-file"),
                       "adjoint-re"),
@@ -92,13 +92,11 @@ CONFIG_KEYS = {
     "simulation": {"engine": (_choice("fp", "particles"), "fp"),
                    "n_particles": (_count, "100000"),
                    "dt": (_auto(_positive(float, "positive or auto")), "auto"),
-                   "t_end": (float, "40.0"),
+                   "t_end": (_positive(float, "positive"), "40.0"),
                    "seed": (int, "0"),
                    "stride": (_count, "25"),
                    "n_cells": (_count, "1600"),
                    "stop_band_factor": (float, "3.0")},
-    "metric": {"p0": (float, "0.0"),
-               "phi0": (_choice("r", "r_wedge_1"), "r")},
     "sweep": {"sigma_min": (float, "0.3"),
               "sigma_max": (float, "1.3"),
               "n_sigma": (_count, "21")},

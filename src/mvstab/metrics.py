@@ -1,23 +1,15 @@
 """Distances between laws, the time-series container and the record
 loop both escape engines run through.
 
-Ships the exact 1-D L1 transport distance (sorted quantile coupling for
-samples, CDF-difference integral for tabulated densities) and a
-dictionary-based lower-bound estimator for the weighted dual norm
-
-    ||mu - nu|| = sup |(mu - nu)(g)|  over  |g(x) - g(y)| <=
-                  phi0(|x - y|) (V0(x) + V0(y)) / 2,
-
-with V0(x) = (1 + x^2)^(p0/2) and phi0 either r or min(r, 1).  The true
-supremum over the whole test class is not computable; the estimator
-maximizes over a fixed dictionary with pair-sampled norm estimates and
-therefore reports a lower bound.  At p0 = 0, phi0 = r the class is the
-1-Lipschitz ball, so the bound is dominated by the transport distance.
+Ships the exact 1-D L1 transport distance W1 (sorted quantile coupling
+for samples, CDF-difference integral for tabulated densities).  W1 is
+the paper's weighted dual norm at weight exponent 0 with gauge r, where
+the test class is the 1-Lipschitz ball.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -129,96 +121,3 @@ def empirical_cdf(samples, grid_x) -> np.ndarray:
     s = np.sort(np.asarray(samples, dtype=float))
     return np.searchsorted(s, np.asarray(grid_x, dtype=float),
                            side="right") / s.size
-
-
-def ramp_dictionary(lo: float, hi: float, n_knots: int = 32) -> list:
-    """1-Lipschitz ramps min(max(x - k, 0), width) at uniform knots."""
-    knots = np.linspace(lo, hi, n_knots + 1)
-    width = (hi - lo) / 4
-
-    def make(k):
-        return lambda x: np.clip(np.asarray(x, dtype=float) - k, 0.0, width)
-
-    return [make(k) for k in knots[:-1]]
-
-
-@dataclass
-class WeightedNormConfig:
-    """Weight exponent, gauge, and test-function dictionary.
-
-    ``prepare`` tabulates every dictionary function on a grid and
-    estimates its class norm as the maximum of the defining ratio over
-    all grid node pairs; the estimates are cached for reuse.
-    """
-
-    p0: float = 0.0
-    phi0: str = "r"          # "r" or "r_wedge_1"
-    dictionary: Sequence[Callable] = field(default_factory=list)
-    _grid: np.ndarray | None = None
-    _tabulated: np.ndarray | None = None
-    _norms: np.ndarray | None = None
-
-    def gauge(self, r):
-        if self.phi0 == "r":
-            return r
-        if self.phi0 == "r_wedge_1":
-            return np.minimum(r, 1.0)
-        raise ValueError(f"unknown gauge {self.phi0!r}")
-
-    def weight(self, x):
-        return (1.0 + np.asarray(x, dtype=float) ** 2) ** (self.p0 / 2)
-
-    def prepare(self, grid_x: np.ndarray):
-        grid_x = np.asarray(grid_x, dtype=float)
-        funcs = list(self.dictionary)
-        if not funcs:
-            funcs = ramp_dictionary(grid_x[0], grid_x[-1])
-            self.dictionary = funcs
-        tab = np.array([np.asarray(f(grid_x), dtype=float) for f in funcs])
-        V = self.weight(grid_x)
-        norms = np.empty(len(funcs))
-        # pair maximum in row blocks to bound memory
-        block = max(1, 2_000_000 // grid_x.size)
-        for k, g in enumerate(tab):
-            best = 0.0
-            for i0 in range(0, grid_x.size, block):
-                i1 = min(i0 + block, grid_x.size)
-                dg = np.abs(g[i0:i1, None] - g[None, :])
-                dx = np.abs(grid_x[i0:i1, None] - grid_x[None, :])
-                den = self.gauge(dx) * 0.5 * (V[i0:i1, None] + V[None, :])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(dx > 0, dg / den, 0.0)
-                best = max(best, float(ratio.max()))
-            norms[k] = best
-        self._grid = grid_x
-        self._tabulated = tab
-        self._norms = norms
-        return self
-
-
-def weighted_dual_norm_lb(mu_weights, nu_weights,
-                          config: WeightedNormConfig) -> float:
-    """Dictionary lower bound of the weighted dual norm.
-
-    ``mu_weights``/``nu_weights`` are discrete masses on the grid the
-    config was prepared with (they must carry equal total mass).  For
-    each dictionary function g the value |(mu - nu)(g)| is divided by
-    the pair-estimated class norm of g; the maximum over the dictionary
-    is a lower bound of the supremum over the full class.
-    """
-    if config._grid is None:
-        raise ValueError("config.prepare(grid) must be called first")
-    mu = np.asarray(mu_weights, dtype=float)
-    nu = np.asarray(nu_weights, dtype=float)
-    if mu.shape != config._grid.shape or nu.shape != config._grid.shape:
-        raise ValueError("measure weights do not match the prepared grid")
-    if abs(mu.sum() - nu.sum()) > 1e-10:
-        raise ValueError(
-            f"total masses differ by {abs(mu.sum() - nu.sum()):.2e}; "
-            "the dual norm needs equal-mass signed differences")
-    diff = mu - nu
-    vals = np.abs(config._tabulated @ diff)
-    ok = config._norms > 0
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(vals[ok] / config._norms[ok]))

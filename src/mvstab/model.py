@@ -49,12 +49,6 @@ class ScalarMeanFieldModel:
             return self.a(x) + self.beta * self.c_const * m
         return self.a(x) + self.beta * self.c(x) * m
 
-    def linear_functional_derivative(self, x, z, m: float):
-        """Centered derivative of the drift in the law: beta*c(x)*(g(z)-m)."""
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return self.beta * self.c(x) * (self.g(z) - m)
-
     def with_params(self, beta: float | None = None,
                     sigma: float | None = None) -> "ScalarMeanFieldModel":
         """Rebuild the same builtin family with new parameters."""

@@ -76,23 +76,6 @@ def composite_gauss_legendre(L: float, n_panels: int = 24,
                           exact_degree=2 * panel_degree - 1)
 
 
-def integrate(f, rule: QuadratureRule) -> float:
-    """Integrate a callable or an array of node values against the rule.
-
-    Raises ValueError naming the offending node if ``f`` evaluates to a
-    non-finite value anywhere on the grid.
-    """
-    vals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-    if vals.shape != rule.nodes.shape:
-        raise ValueError("integrand values do not match the quadrature grid")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"integrand is not finite at node x={rule.nodes[i]!r} (index {i})")
-    return float(np.dot(rule.weights, vals))
-
-
 def find_roots(f, interval: tuple[float, float], n_scan: int = 2001,
                tol: float = 1e-10) -> list[float]:
     """All sign-change roots of a continuous scalar function.

@@ -144,10 +144,6 @@ class GeneratorSpectrum:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def spectral_gap(self) -> float:
-        return float(self.values[1])
-
 
 def base_spectrum(K: np.ndarray) -> GeneratorSpectrum:
     """Ascending spectrum of the energy form; the zero mode is pinned.
@@ -279,7 +275,6 @@ class UnstableMode:
     f_star: np.ndarray | None
     adjoint_vec: np.ndarray
     verdict: str
-    defective_warning: bool
     abscissa: float
 
 
@@ -325,7 +320,7 @@ def unstable_mode(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
     verdict = "unstable" if re_max > tol_spec else "stable-indicator"
     return UnstableMode(lambda_star=lam_star, lambda0=lam0, k0=k0,
                         f_star=f_star, adjoint_vec=u, verdict=verdict,
-                        defective_warning=k0 > 1, abscissa=re_max)
+                        abscissa=re_max)
 
 
 @dataclass(frozen=True)

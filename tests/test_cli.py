@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mvstab import cli
 from mvstab.cli import CONFIG_KEYS, load_config, load_report_schema, main
 
 from conftest import SIGMA_C_DAWSON_BETA1
@@ -84,6 +85,14 @@ class TestConfig:
         # each key is one ExperimentConfig attribute, so names are unique
         assert len({k for _, k in table}) == len(table)
 
+    def test_every_key_is_read(self):
+        # a key that is parsed but never read would be ignored silently
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        unread = [k for keys in CONFIG_KEYS.values() for k in keys
+                  if k != "config_version"
+                  and not re.search(rf"\b(cfg|self)\.{k}\b", source)]
+        assert unread == []
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[mvstab]\nconfig_version = 1\n[model]\nname = dawson\n"
@@ -120,7 +129,9 @@ class TestConfig:
         ("simulation", "stride", "0"), ("simulation", "stride", "-3"),
         ("simulation", "n_cells", "0"), ("simulation", "n_particles", "0"),
         ("sweep", "n_sigma", "0"), ("basis", "degree", "0"),
-        ("spectrum", "root", "abc")])
+        ("spectrum", "root", "abc"), ("simulation", "t_end", "0"),
+        ("simulation", "t_end", "-1"), ("perturbation", "delta", "-1e-3"),
+        ("grid", "n_nodes", "0"), ("stationary", "n_scan", "0")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
         path = Path(write_cfg(tmp_path, t_end=0.5))

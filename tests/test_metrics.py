@@ -4,9 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mvstab.metrics import (TimeSeries, WeightedNormConfig, empirical_cdf,
-                            ramp_dictionary, record_run, w1_density,
-                            w1_empirical, weighted_dual_norm_lb)
+from mvstab.metrics import (TimeSeries, empirical_cdf, record_run, w1_density,
+                            w1_empirical)
 
 
 def brute_force_w1(xs, ys):
@@ -89,6 +88,9 @@ class TestW1Density:
         F = gaussian_cdf(x)
         G = gaussian_cdf(x, mean=0.4, std=1.2)
         ref = w1_density(x, F, G)
+        # W1 dominates the mean gap, the pairing with g(x) = x; the
+        # variances differ, so the CDFs cross and the bound is strict
+        assert ref > 0.4 + 1e-3
         rng1 = np.random.default_rng(100)
         rng2 = np.random.default_rng(200)
         xs = np.interp(rng1.random(1_000_000), F, x)
@@ -99,80 +101,6 @@ class TestW1Density:
         grid = np.array([0.0, 1.0, 2.0])
         F = empirical_cdf([0.5, 1.5, 1.5, 3.0], grid)
         assert np.allclose(F, [0.0, 0.25, 0.75])
-
-
-def discrete_gaussian(x, mean):
-    w = np.exp(-(x - mean) ** 2 / 2)
-    return w / w.sum()
-
-
-class TestWeightedDualNormLB:
-    def test_zero_for_equal_measures(self):
-        x = np.linspace(-8, 8, 400)
-        cfg = WeightedNormConfig(p0=0.0, phi0="r").prepare(x)
-        mu = discrete_gaussian(x, 0.0)
-        assert weighted_dual_norm_lb(mu, mu, cfg) == 0.0
-
-    def test_identity_dictionary_gives_mean_gap(self):
-        x = np.linspace(-8, 8.3, 501)
-        cfg = WeightedNormConfig(p0=0.0, phi0="r",
-                                 dictionary=[lambda t: t]).prepare(x)
-        mu = discrete_gaussian(x, 0.0)
-        nu = discrete_gaussian(x, 0.3)
-        got = weighted_dual_norm_lb(mu, nu, cfg)
-        mean_gap = abs(x @ mu - x @ nu)
-        assert got == pytest.approx(mean_gap, rel=1e-12)
-        F, G = np.cumsum(mu), np.cumsum(nu)
-        assert got <= w1_density(x, F, G) + 1e-10
-
-    def test_rich_dictionary_recovers_transport_distance(self):
-        # random 1-Lipschitz ramps; wide ones align with the optimal
-        # potential of a pure shift, so the best of 64 recovers >= 0.9 W1
-        x = np.linspace(-8, 8.3, 501)
-        rng = np.random.default_rng(21)
-        funcs = []
-        for _ in range(64):
-            a, b = np.sort(rng.uniform(-8, 8.3, size=2))
-            funcs.append(lambda t, a=a, b=b: np.clip(t - a, 0.0, b - a))
-        cfg = WeightedNormConfig(p0=0.0, phi0="r", dictionary=funcs).prepare(x)
-        mu = discrete_gaussian(x, 0.0)
-        nu = discrete_gaussian(x, 0.3)
-        w1 = w1_density(x, np.cumsum(mu), np.cumsum(nu))
-        got = weighted_dual_norm_lb(mu, nu, cfg)
-        assert got >= 0.9 * w1
-        assert got <= w1 + 1e-10
-
-    def test_dictionary_monotonicity(self):
-        x = np.linspace(-8, 8.3, 301)
-        mu = discrete_gaussian(x, 0.0)
-        nu = discrete_gaussian(x, 0.5)
-        small = ramp_dictionary(-8, 8.3, 8)
-        large = small + ramp_dictionary(-8, 8.3, 32) + [lambda t: t]
-        v_small = weighted_dual_norm_lb(
-            mu, nu, WeightedNormConfig(dictionary=small).prepare(x))
-        v_large = weighted_dual_norm_lb(
-            mu, nu, WeightedNormConfig(dictionary=large).prepare(x))
-        assert v_large >= v_small
-
-    def test_mass_mismatch_rejected(self):
-        x = np.linspace(-8, 8, 301)
-        cfg = WeightedNormConfig().prepare(x)
-        mu = discrete_gaussian(x, 0.0)
-        with pytest.raises(ValueError, match="masses differ"):
-            weighted_dual_norm_lb(mu, 1.01 * mu, cfg)
-
-    def test_requires_prepare(self):
-        with pytest.raises(ValueError, match="prepare"):
-            weighted_dual_norm_lb(np.ones(3) / 3, np.ones(3) / 3,
-                                  WeightedNormConfig())
-
-    def test_bounded_gauge_with_weight(self):
-        # p0 > 0 with the bounded gauge still yields a valid lower bound
-        x = np.linspace(-8, 8.3, 301)
-        cfg = WeightedNormConfig(p0=2.0, phi0="r_wedge_1").prepare(x)
-        mu = discrete_gaussian(x, 0.0)
-        nu = discrete_gaussian(x, 0.4)
-        assert weighted_dual_norm_lb(mu, nu, cfg) > 0
 
 
 class TestTimeSeries:

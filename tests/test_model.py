@@ -41,39 +41,6 @@ class TestDrift:
                                atol=1e-14)
 
 
-class TestLinearFunctionalDerivative:
-    def test_dawson_is_beta_z(self):
-        m = dawson_model(beta=1.3, sigma=0.5)
-        z = np.linspace(-2, 2, 9)
-        assert np.allclose(m.linear_functional_derivative(0.7, z, 0.0),
-                           1.3 * z)
-
-    def test_centering_at_matching_statistic(self):
-        for m in ALL_MODELS:
-            z = 0.83
-            assert m.linear_functional_derivative(0.2, z, float(m.g(np.array(z)))) \
-                == pytest.approx(0.0, abs=1e-15)
-
-    def test_rescaled_shape(self):
-        m = rescaled_double_well_model(beta=1.4, sigma=0.6)
-        x, z = 0.5, -1.2
-        u0 = lambda t: t / np.cbrt(1 + t * t)
-        u0p = lambda t: (1 + t * t / 3) / np.cbrt(1 + t * t) ** 4
-        assert m.linear_functional_derivative(x, z, 0.0) == pytest.approx(
-            1.4 * u0p(x) * u0(z), rel=1e-14)
-
-    def test_integrates_to_zero_at_self_consistent_law(self):
-        # the centering convention makes the derivative mean-free under
-        # the matching Gibbs law
-        from mvstab.stationary import build_gibbs
-        mdl = dawson_model(beta=1.0, sigma=0.6)
-        for m_root in (0.0, 0.8729805264919995):   # psi roots at this sigma
-            g = build_gibbs(mdl, m_root)
-            z = g.rule.nodes
-            val = g.moment(mdl.linear_functional_derivative(0.7, z, m_root))
-            assert abs(val) < 1e-10
-
-
 class TestLogGibbs:
     def test_cosine_exact_gaussian_exponent(self):
         m = cosine_model(beta=2.0)

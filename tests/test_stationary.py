@@ -95,6 +95,13 @@ class TestMoment:
             g = build_gibbs(mdl, r)
             assert g.moment(np.cos) == pytest.approx(r, abs=1e-10)
 
+    def test_nonfinite_value_names_node(self):
+        g = build_gibbs(dawson_model(1.0, 0.6), 0.0)
+        vals = np.zeros(g.rule.n_nodes)
+        vals[3] = np.inf
+        with pytest.raises(ValueError, match="not finite at node"):
+            g.moment(vals)
+
 
 class TestPsi:
     def test_zero_at_origin_for_symmetric(self):
