@@ -33,7 +33,7 @@ from .escape import escape_run
 from .model import BUILTIN_MODELS, ScalarMeanFieldModel, build_model
 from .spectrum import analyze_branch, secular_function
 from .stationary import (GridSpec, build_gibbs, critical_sigma,
-                         self_consistent_roots)
+                         default_scan_range, self_consistent_roots)
 
 SCHEMA_VERSION = "1"
 
@@ -58,6 +58,8 @@ def _choice(*allowed):
 def _positive(parse, noun, zero_ok=False):
     def check(raw):
         value = parse(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {raw!r}")
         if not (value > 0 or zero_ok and value == 0):
             raise ValueError(f"must be {noun}, got {raw!r}")
         return value
@@ -113,10 +115,6 @@ class ExperimentConfig(SimpleNamespace):
         if self.scan_min is None or self.scan_max is None:
             return None
         return (self.scan_min, self.scan_max)
-
-    @property
-    def sweep_range(self) -> tuple[float, float]:
-        return (self.sigma_min, self.sigma_max)
 
     def build(self) -> ScalarMeanFieldModel:
         return build_model(self.name, beta=self.beta, sigma=self.sigma)
@@ -187,8 +185,9 @@ def write_manifest(out_dir: str, command: str, files: list[str]):
 
 def svg_line_plot(path: str, title: str, xlabel: str, ylabel: str,
                   series: list[tuple[str, np.ndarray, np.ndarray]],
-                  logy: bool = False, width: int = 720, height: int = 440):
+                  logy: bool = False):
     """Minimal static SVG polyline plot (no third-party plotting)."""
+    width, height = 720, 440
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
     mleft, mright, mtop, mbot = 70, 20, 40, 50
     pw, ph = width - mleft - mright, height - mtop - mbot
@@ -291,6 +290,15 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _require_branch(rep, model: ScalarMeanFieldModel, cfg: ExperimentConfig):
+    """Refuse a branch search that found nothing, naming its window."""
+    if not rep.roots:
+        lo, hi = cfg.scan_range or default_scan_range(model)
+        raise ValueError(
+            f"no stationary branch of {model.name} at sigma={model.sigma:g} "
+            f"in the scan window [{lo:g}, {hi:g}]; widen scan_min/scan_max")
+
+
 def _analyze(model, m_root, cfg: ExperimentConfig):
     return analyze_branch(build_gibbs(model, m_root, cfg.grid_spec()),
                           cfg.degree)
@@ -303,6 +311,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     if cfg.root == "all":
         targets = rep.roots
     else:
+        _require_branch(rep, model, cfg)
         targets = [min(rep.roots,
                        key=lambda r: abs(r - cfg.root))]
     blocks = []
@@ -341,6 +350,7 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
     seed = cfg.seed if seed is None else seed
     rep = self_consistent_roots(model, scan_range=cfg.scan_range,
                                 n_scan=cfg.n_scan, grid_spec=cfg.grid_spec())
+    _require_branch(rep, model, cfg)
     order = np.argsort(rep.s0_per_root)[::-1]
     m_root = rep.roots[int(order[0])]
     branch = _analyze(model, m_root, cfg)
@@ -403,6 +413,7 @@ def _sweep_point(model, sigma, cfg):
     rep = self_consistent_roots(mdl, scan_range=cfg.scan_range,
                                 n_scan=max(401, cfg.n_scan // 4),
                                 grid_spec=cfg.grid_spec())
+    _require_branch(rep, mdl, cfg)
     m0 = min(rep.roots, key=abs)
     i0 = rep.roots.index(m0)
     s0 = rep.s0_per_root[i0]
@@ -426,7 +437,7 @@ def _sweep_point(model, sigma, cfg):
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     model = cfg.build()
-    sigmas = np.linspace(cfg.sweep_range[0], cfg.sweep_range[1], cfg.n_sigma)
+    sigmas = np.linspace(cfg.sigma_min, cfg.sigma_max, cfg.n_sigma)
     workers = int(os.environ.get("MVSTAB_THREADS",
                                  min(4, os.cpu_count() or 1)))
     with ThreadPoolExecutor(max_workers=max(1, workers)) as ex:
@@ -436,7 +447,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             "s0_zero", "lambda_star"]
     files = [write_csv(cfg.directory, "sweep.csv", cols,
                        [np.array([r[c] for r in rows]) for c in cols])]
-    sigma_c = critical_sigma(model, cfg.sweep_range,
+    sigma_c = critical_sigma(model, (cfg.sigma_min, cfg.sigma_max),
                              grid_spec=cfg.grid_spec()) \
         if model.symmetric else None
     files.append(write_report(cfg.directory, "sweep.json", {

@@ -68,11 +68,12 @@ class FpState:
         return float(self.rho.sum() * grid.dx)
 
 
-def state_from_density(rho, model: ScalarMeanFieldModel, grid: FpGrid,
-                       t: float = 0.0) -> FpState:
+def state_from_density(rho, model: ScalarMeanFieldModel,
+                       grid: FpGrid) -> FpState:
+    """Start state at t = 0 from a density, normalized to mass 1."""
     rho = np.asarray(rho, dtype=float)
     rho = rho / (rho.sum() * grid.dx)
-    return FpState(rho=rho, t=float(t),
+    return FpState(rho=rho, t=0.0,
                    m=float(np.dot(model.g(grid.centers), rho) * grid.dx))
 
 
@@ -161,13 +162,13 @@ class FpStepper:
         return rho / (rho.sum() * dx)
 
 
-def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
-               m_scale: float = 1.0) -> float:
+def default_dt(model: ScalarMeanFieldModel, grid: FpGrid) -> float:
     """Accuracy-motivated default dx / (2 max|b|).
 
-    The drift maximum is taken over the occupied region (stationary
-    log-density within 28 nats of its peak); the outer cells carry no
-    mass, and the implicit solve is unconditionally stable there anyway.
+    The drift maximum is taken at m = +-1 over the occupied region
+    (stationary log-density within 28 nats of its peak); the outer cells
+    carry no mass, and the implicit solve is unconditionally stable
+    there anyway.
     """
     x = grid.centers
     lg = model.log_gibbs(x, 0.0)
@@ -175,8 +176,8 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
     if not np.any(support):
         support = np.ones_like(x, dtype=bool)
     xs = x[support]
-    bmax = max(abs(model.drift(xs, m_scale)).max(),
-               abs(model.drift(xs, -m_scale)).max())
+    bmax = max(abs(model.drift(xs, 1.0)).max(),
+               abs(model.drift(xs, -1.0)).max())
     return grid.dx / (2.0 * max(bmax, 1e-12))
 
 

@@ -40,13 +40,10 @@ class ScalarMeanFieldModel:
     coupling_v: Func
     log_gibbs: Callable[[np.ndarray, float], np.ndarray]
     symmetric: bool = False
-    c_const: float | None = None   # set when c is a constant (fast drift)
 
     def drift(self, x, m: float):
         """Drift b(x, m) = a(x) + beta * c(x) * m."""
         x = np.asarray(x, dtype=float)
-        if self.c_const is not None:
-            return self.a(x) + self.beta * self.c_const * m
         return self.a(x) + self.beta * self.c(x) * m
 
     def with_params(self, beta: float | None = None,
@@ -90,8 +87,7 @@ def dawson_model(beta: float = 1.0, sigma: float = 0.5) -> ScalarMeanFieldModel:
     return ScalarMeanFieldModel(
         name="dawson", beta=beta, sigma=sigma,
         a=a, c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        g=ident, coupling_v=ident, log_gibbs=log_gibbs, symmetric=True,
-        c_const=1.0)
+        g=ident, coupling_v=ident, log_gibbs=log_gibbs, symmetric=True)
 
 
 def cosine_model(beta: float = 1.0,
@@ -114,7 +110,7 @@ def cosine_model(beta: float = 1.0,
         a=lambda x: -np.asarray(x, dtype=float),
         c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         g=np.cos, coupling_v=lambda x: np.asarray(x, dtype=float),
-        log_gibbs=log_gibbs, symmetric=False, c_const=1.0)
+        log_gibbs=log_gibbs, symmetric=False)
 
 
 def rescaled_double_well_model(beta: float = 1.0,

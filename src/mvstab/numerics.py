@@ -29,7 +29,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
     exact_degree: int = 0
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ def composite_gauss_legendre(L: float, n_panels: int = 24,
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x01[None, :]).ravel()
     weights = (half[:, None] * w01[None, :]).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, domain=(-L, L),
+    return QuadratureRule(nodes=nodes, weights=weights,
                           exact_degree=2 * panel_degree - 1)
 
 

@@ -80,28 +80,23 @@ def step(ensemble: Ensemble, model: ScalarMeanFieldModel,
                     m=float(np.mean(model.g(new))))
 
 
-def relaxation_dt_bound(model: ScalarMeanFieldModel,
-                        positions: np.ndarray | None = None) -> float:
+def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
     """Step-size guard 0.01 / max|a'| on the stationary support.
 
     The support half-width comes from the Gibbs log-density decay
-    (pointwise ~1e-12); for models without a usable density the grid
-    falls back to the occupied range of the initial positions.
+    (pointwise ~1e-12) on |x| <= 64; a log-density that is not finite
+    there is rejected.
     """
-    try:
-        # raw support: where the log-density sits within 28 nats of its
-        # peak (pointwise ~1e-12), without the quadrature safety margin
-        scan = np.linspace(-64.0, 64.0, 8193)
-        lg = model.log_gibbs(scan, 0.0)
-        occupied = np.abs(scan[lg >= lg.max() - 28.0])
-        if occupied.size == 0 or not np.isfinite(lg).all():
-            raise ValueError("no usable support")
-        L = float(occupied.max())
-    except (ValueError, FloatingPointError, ZeroDivisionError):
-        if positions is None:
-            L = 3.0
-        else:
-            L = max(3.0, float(np.abs(positions).max()) + 1.0)
+    # raw support: where the log-density sits within 28 nats of its
+    # peak (pointwise ~1e-12), without the quadrature safety margin
+    scan = np.linspace(-64.0, 64.0, 8193)
+    lg = model.log_gibbs(scan, 0.0)
+    if not np.isfinite(lg).all():
+        i = int(np.argmax(~np.isfinite(lg)))
+        raise ValueError(
+            f"log-density of {model.name} is not finite at x={scan[i]:g}; "
+            "the relaxation guard needs it on |x| <= 64")
+    L = float(np.abs(scan[lg >= lg.max() - 28.0]).max())
     xs = np.linspace(-L, L, 2001)
     a = model.a(xs)
     da = np.abs(np.diff(a) / np.diff(xs)).max()
@@ -120,7 +115,7 @@ def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
     the relaxation guard bound, and a larger step is rejected.  Fixed
     seeds give bit-identical series.
     """
-    guard = relaxation_dt_bound(model, ensemble.positions)
+    guard = relaxation_dt_bound(model)
     dt = guard if dt is None else float(dt)
     if dt > guard * (1 + 1e-12):
         raise ValueError(

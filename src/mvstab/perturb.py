@@ -58,7 +58,6 @@ class PerturbedMeasure:
     """
 
     base: GibbsMeasure
-    delta: float
     ratio: np.ndarray
     density: np.ndarray
     cdf: np.ndarray
@@ -91,7 +90,7 @@ def perturbed_measure(gibbs: GibbsMeasure, g_M, delta: float) -> PerturbedMeasur
                 f"1/max|g_M|={delta0:g}")
     ratio = 1.0 + delta * g_M
     density = ratio * gibbs.density
-    return PerturbedMeasure(base=gibbs, delta=delta, ratio=ratio,
+    return PerturbedMeasure(base=gibbs, ratio=ratio,
                             density=density,
                             cdf=node_cdf(gibbs.rule, density))
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import ScalarMeanFieldModel
 from .numerics import (DenseSpectrum, EigenSystem, dense_spectrum, find_roots,
                        sym_eig)
 from .stationary import GibbsMeasure
@@ -133,26 +132,16 @@ def dirichlet_matrix(gibbs: GibbsMeasure, basis: SpectralBasis) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-@dataclass(frozen=True)
-class GeneratorSpectrum:
+def base_spectrum(K: np.ndarray) -> EigenSystem:
     """Eigenpairs (lambda_i, e_i) of the negated frozen generator -L.
 
-    Eigenvalues ascend from lambda_0 = 0 (constants); eigenvector columns
-    are coefficients in the SpectralBasis, orthonormal in L^2(mu).
+    The values ascend from lambda_0 = 0, the pinned zero mode: the kernel
+    of K is the constant function, and its numerically tiny eigenvalue is
+    clamped to exactly 0 so downstream rank-one algebra treats constants
+    exactly.  The vector columns are coefficients in the SpectralBasis,
+    orthonormal in L^2(mu).
     """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def base_spectrum(K: np.ndarray) -> GeneratorSpectrum:
-    """Ascending spectrum of the energy form; the zero mode is pinned.
-
-    The kernel of K is the constant function; its numerically tiny
-    eigenvalue is clamped to exactly 0 so downstream rank-one algebra
-    treats constants exactly.
-    """
-    es: EigenSystem = sym_eig(K)
+    es = sym_eig(K)
     vals = es.values.copy()
     vecs = es.vectors.copy()
     scale = max(abs(vals[-1]), 1.0)
@@ -166,7 +155,7 @@ def base_spectrum(K: np.ndarray) -> GeneratorSpectrum:
     flips = np.sign(vecs[np.argmax(np.abs(vecs), axis=0),
                          np.arange(vecs.shape[1])])
     vecs *= np.where(flips == 0, 1.0, flips)
-    return GeneratorSpectrum(values=vals, vectors=vecs)
+    return EigenSystem(values=vals, vectors=vecs)
 
 
 @dataclass(frozen=True)
@@ -185,15 +174,12 @@ class RankOneCoupling:
     v_hat: np.ndarray
     ell: np.ndarray
     beta: float
-    sigma: float
 
 
 def coupling_vectors(gibbs: GibbsMeasure, basis: SpectralBasis,
-                     spectrum: GeneratorSpectrum,
-                     model: ScalarMeanFieldModel | None = None
-                     ) -> RankOneCoupling:
+                     spectrum: EigenSystem) -> RankOneCoupling:
     """Project the coupling functions on the eigenbasis of -L."""
-    model = model or gibbs.model
+    model = gibbs.model
     x = gibbs.rule.nodes
     mu = gibbs.rule.weights * gibbs.density
     E = spectrum.vectors.T @ basis.node_values   # eigenfunction node values
@@ -211,10 +197,10 @@ def coupling_vectors(gibbs: GibbsMeasure, basis: SpectralBasis,
     phi_hat[0] = 0.0
     ell = (2.0 / model.sigma ** 2) * spectrum.values * v_hat
     return RankOneCoupling(phi_hat=phi_hat, v_hat=v_hat, ell=ell,
-                           beta=model.beta, sigma=model.sigma)
+                           beta=model.beta)
 
 
-def secular_function(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
+def secular_function(spectrum: EigenSystem, coupling: RankOneCoupling,
                      lam: float) -> float:
     """S(lambda) = (2 beta/sigma^2) sum_j lambda_j v_j phi_j/(lambda_j+lambda).
 
@@ -228,26 +214,25 @@ def secular_function(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
     return float(coupling.beta * np.sum(terms))
 
 
-def solve_secular(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
-                  lam_max: float | None = None) -> float | None:
-    """Largest root of S(lambda) = 1 on (0, lam_max], or None.
+def solve_secular(spectrum: EigenSystem,
+                  coupling: RankOneCoupling) -> float | None:
+    """Largest positive root of S(lambda) = 1, or None.
 
     Beyond beta * sum_j |ell_j phi_j| the secular sum is below 1 in
-    magnitude, which bounds every positive root; the default lam_max
-    adds 1 to that bound.
+    magnitude, which bounds every positive root; the scan runs to that
+    bound plus 1.
     """
-    if lam_max is None:
-        lam_max = float(coupling.beta
-                        * np.abs(coupling.ell * coupling.phi_hat).sum()) + 1.0
+    bound = float(coupling.beta
+                  * np.abs(coupling.ell * coupling.phi_hat).sum())
     roots = find_roots(lambda z: secular_function(spectrum, coupling, z) - 1.0,
-                       (1e-12, lam_max), n_scan=4001, tol=1e-13)
+                       (1e-12, bound + 1.0), n_scan=4001, tol=1e-13)
     roots = [r for r in roots if r > 1e-9]
     if not roots:
         return None
     return float(roots[-1])
 
 
-def full_generator_matrix(spectrum: GeneratorSpectrum,
+def full_generator_matrix(spectrum: EigenSystem,
                           coupling: RankOneCoupling) -> np.ndarray:
     """Matrix of L + A in the eigenbasis: diag(-lambda) + beta phi ell^T."""
     if coupling.phi_hat.size != spectrum.values.size:
@@ -262,11 +247,12 @@ class UnstableMode:
 
     ``lambda_star`` is the positive secular root when one exists;
     ``lambda0`` the dominant (largest real part) eigenvalue of the
-    Galerkin matrix with its cluster multiplicity ``k0``.  ``f_star``
+    Galerkin matrix with its cluster multiplicity ``k0`` (the number of
+    eigenvalues within 1e-8 of it).  ``f_star``
     holds eigenbasis coefficients of the unstable observable (None when
     no secular root), ``adjoint_vec`` the left eigenvector at lambda0,
     used as the perturbation direction.  ``verdict`` is "unstable" when
-    the spectral abscissa clears the tolerance, else "stable-indicator".
+    the spectral abscissa exceeds 1e-7, else "stable-indicator".
     """
 
     lambda_star: float | None
@@ -278,9 +264,8 @@ class UnstableMode:
     abscissa: float
 
 
-def unstable_mode(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
-                  tol_spec: float = 1e-7,
-                  cluster_tol: float = 1e-8) -> UnstableMode:
+def unstable_mode(spectrum: EigenSystem,
+                  coupling: RankOneCoupling) -> UnstableMode:
     """Secular root, dominant eigenvalue, unstable observable and adjoint.
 
     The Galerkin matrix splits exactly into the conserved constant mode
@@ -296,7 +281,7 @@ def unstable_mode(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
     # prefer nonnegative imaginary part for determinism
     idx = int(top[np.argmax(vals[top].imag)])
     lam0 = complex(vals[idx])
-    k0 = int(np.sum(np.abs(vals - lam0) < cluster_tol))
+    k0 = int(np.sum(np.abs(vals - lam0) < 1e-8))
 
     lam_star = solve_secular(spectrum, coupling)
     f_star = None
@@ -317,7 +302,7 @@ def unstable_mode(spectrum: GeneratorSpectrum, coupling: RankOneCoupling,
         u = u.real
     u = u / np.linalg.norm(u)
 
-    verdict = "unstable" if re_max > tol_spec else "stable-indicator"
+    verdict = "unstable" if re_max > 1e-7 else "stable-indicator"
     return UnstableMode(lambda_star=lam_star, lambda0=lam0, k0=k0,
                         f_star=f_star, adjoint_vec=u, verdict=verdict,
                         abscissa=re_max)
@@ -331,7 +316,7 @@ class BranchAnalysis:
 
     gibbs: GibbsMeasure
     basis: SpectralBasis
-    spectrum: GeneratorSpectrum
+    spectrum: EigenSystem
     coupling: RankOneCoupling
     mode: UnstableMode
 

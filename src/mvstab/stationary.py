@@ -40,33 +40,32 @@ class GridSpec:
         return self.n_panels * self.panel_degree
 
 
-def auto_half_width(model: ScalarMeanFieldModel, m_values=(0.0,),
-                    drop: float = 46.0, x_max: float = 64.0,
-                    x_cap: float = 2048.0) -> float:
+def auto_half_width(model: ScalarMeanFieldModel, m_values=(0.0,)) -> float:
     """Truncation half-width where the Gibbs log-density has decayed.
 
     Returns the smallest symmetric half-width beyond which log_gibbs
-    sits ``drop`` nats below its maximum for every m in ``m_values``
+    sits 46 nats below its maximum for every m in ``m_values``
     (e^-46 ~ 1e-20 pointwise, tail mass well under 1e-14).  The scan
-    window doubles as needed for slowly decaying families.
+    window starts at |x| <= 64 and doubles as needed for slowly decaying
+    families, up to |x| <= 2048.
     """
     L = 0.0
     for m in m_values:
-        X = x_max
+        X = 64.0
         while True:
             xs = np.linspace(-X, X, 8193)
             lg = model.log_gibbs(xs, float(m))
             rel = lg - lg.max()
             decayed = (np.abs(xs[np.argmax(rel)]) <= 0.8 * X
-                       and rel[0] < -drop and rel[-1] < -drop)
+                       and rel[0] < -46.0 and rel[-1] < -46.0)
             if decayed:
                 break
             X *= 2.0
-            if X > x_cap:
+            if X > 2048.0:
                 raise ValueError(
-                    f"log-density does not decay by {drop} nats within "
-                    f"|x| <= {x_cap}")
-        above = np.abs(xs[rel >= -drop])
+                    "log-density does not decay by 46.0 nats within "
+                    "|x| <= 2048.0")
+        above = np.abs(xs[rel >= -46.0])
         if above.size == 0:
             raise ValueError("log-density has no resolvable peak on the scan")
         L = max(L, above.max())
@@ -176,19 +175,19 @@ def _raw_indicator(model: ScalarMeanFieldModel, gibbs: GibbsMeasure) -> float:
 
 def stability_indicator(model: ScalarMeanFieldModel, m_root: float,
                         grid_spec: GridSpec | None = None,
-                        rule: QuadratureRule | None = None,
-                        root_tol: float = 1e-8) -> float:
+                        rule: QuadratureRule | None = None) -> float:
     """Branch indicator S0 = (2 beta / sigma^2) Cov_mu(v, g) at a root.
 
     S0 > 1 signals a positive root of the secular equation, hence an
     unstable branch; S0 equals 1 + psi'(m_root) for the builtin models.
+    A root off by more than 1e-8 in psi is rejected.
     """
     gibbs = build_gibbs(model, m_root, grid_spec=grid_spec, rule=rule)
     resid = gibbs.moment(model.g) - float(m_root)
-    if abs(resid) > root_tol:
+    if abs(resid) > 1e-8:
         raise ValueError(
             f"m={m_root!r} is not self-consistent: |psi| = {abs(resid):.2e} "
-            f"> {root_tol:g}")
+            "> 1e-08")
     return _raw_indicator(model, gibbs)
 
 
@@ -223,13 +222,14 @@ class SelfConsistencyReport:
 def self_consistent_roots(model: ScalarMeanFieldModel,
                           scan_range: tuple[float, float] | None = None,
                           n_scan: int = 2001,
-                          grid_spec: GridSpec | None = None,
-                          tol: float = 1e-10) -> SelfConsistencyReport:
+                          grid_spec: GridSpec | None = None
+                          ) -> SelfConsistencyReport:
     """Locate every zero of psi on the scan range and grade each branch.
 
-    Roots where psi also has a vanishing slope (|psi'| < 1e-6) are
-    tagged as folds: at a branch merger bisection cannot separate the
-    coincident zeros, so the degenerate root is reported once.
+    Roots are bisected to 1e-10 in m.  Roots where psi also has a
+    vanishing slope (|psi'| < 1e-6) are tagged as folds: at a branch
+    merger bisection cannot separate the coincident zeros, so the
+    degenerate root is reported once.
     """
     scan_range = scan_range or default_scan_range(model)
     grid_spec = grid_spec or GridSpec()
@@ -241,7 +241,7 @@ def self_consistent_roots(model: ScalarMeanFieldModel,
     def f(m):
         return psi(model, m, rule=rule)
 
-    roots = find_roots(f, scan_range, n_scan=n_scan, tol=tol)
+    roots = find_roots(f, scan_range, n_scan=n_scan, tol=1e-10)
     ms = np.linspace(scan_range[0], scan_range[1], min(n_scan, 401))
     curve = np.column_stack([ms, [f(m) for m in ms]])
 
@@ -259,15 +259,14 @@ def self_consistent_roots(model: ScalarMeanFieldModel,
 
 def critical_sigma(model: ScalarMeanFieldModel,
                    sigma_range: tuple[float, float] = (0.1, 3.0),
-                   n_scan: int = 41,
-                   grid_spec: GridSpec | None = None,
-                   tol: float = 1e-10) -> float | None:
+                   grid_spec: GridSpec | None = None) -> float | None:
     """Noise level where the symmetric-branch indicator S0 crosses 1.
 
     Finds the first root of sigma -> S0(sigma) - 1 at m = 0 with
-    ``find_roots``, using the raw covariance indicator at m = 0 (a
-    genuine root only for symmetric models).  Returns None when the
-    indicator does not cross 1 in the range.
+    ``find_roots`` (41 scan points, bisection to 1e-10), using the raw
+    covariance indicator at m = 0 (a genuine root only for symmetric
+    models).  Returns None when the indicator does not cross 1 in the
+    range.
     """
     grid_spec = grid_spec or GridSpec()
 
@@ -276,5 +275,5 @@ def critical_sigma(model: ScalarMeanFieldModel,
         rule = make_rule(mdl, grid_spec, m_values=(0.0,))
         return _raw_indicator(mdl, build_gibbs(mdl, 0.0, rule=rule))
 
-    roots = find_roots(lambda s: s0(s) - 1.0, sigma_range, n_scan, tol)
+    roots = find_roots(lambda s: s0(s) - 1.0, sigma_range, 41, 1e-10)
     return roots[0] if roots else None

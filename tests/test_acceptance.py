@@ -8,6 +8,7 @@ the analysis note next to it.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +33,16 @@ _LINES: list[str] = []
 
 @pytest.fixture(scope="module", autouse=True)
 def _report_file():
+    # replace the lines of the criteria that ran and keep the others, so a
+    # partial run (-k c01) does not truncate the report
     yield
-    with open("acceptance_report.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(_LINES) + "\n")
+    path = Path("acceptance_report.txt")
+    kept = path.read_text(encoding="utf-8").split("\n") \
+        if path.exists() else []
+    # "criterion  7 FAIL: ..." -> 7; the lines of this run come last and win
+    by_num = {int(line.split()[1]): line for line in kept + _LINES if line}
+    path.write_text("\n".join(by_num[k] for k in sorted(by_num)) + "\n",
+                    encoding="utf-8")
 
 
 def record(num, desc, ok, detail):

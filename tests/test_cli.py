@@ -131,7 +131,9 @@ class TestConfig:
         ("sweep", "n_sigma", "0"), ("basis", "degree", "0"),
         ("spectrum", "root", "abc"), ("simulation", "t_end", "0"),
         ("simulation", "t_end", "-1"), ("perturbation", "delta", "-1e-3"),
-        ("grid", "n_nodes", "0"), ("stationary", "n_scan", "0")])
+        ("grid", "n_nodes", "0"), ("stationary", "n_scan", "0"),
+        ("simulation", "t_end", "inf"), ("simulation", "dt", "inf"),
+        ("perturbation", "delta", "inf")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
         path = Path(write_cfg(tmp_path, t_end=0.5))
@@ -141,6 +143,34 @@ class TestConfig:
         path.write_text(text if found else text + f"[{section}]\n{line}")
         assert run("instability", str(path)) == 1
         assert f"error: [{section}] {key}: " in capsys.readouterr().err
+
+
+class TestEmptyScanWindow:
+    """cosine at beta = 1 has its one branch near m = 0.52, outside
+    [0.9, 1.0]."""
+
+    @staticmethod
+    def cfg(tmp_path, root="all"):
+        path = Path(write_cfg(tmp_path, name="cosine", beta=1.0,
+                              sigma=np.sqrt(2.0), degree=40, t_end=0.5))
+        text = re.sub(r"^scan_min = .*\nscan_max = .*\n",
+                      "scan_min = 0.9\nscan_max = 1.0\n", path.read_text(),
+                      flags=re.M)
+        path.write_text(text + f"[spectrum]\nroot = {root}\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command, root", [
+        ("instability", "all"), ("sweep", "all"), ("spectrum", "0.95")])
+    def test_command_names_the_window(self, tmp_path, capsys, command, root):
+        assert run(command, self.cfg(tmp_path, root)) == 1
+        err = capsys.readouterr().err
+        assert "no stationary branch of cosine" in err
+        assert "scan window [0.9, 1]" in err
+
+    @pytest.mark.parametrize("command", ["stationary", "spectrum"])
+    def test_empty_root_list_reported(self, tmp_path, command):
+        assert run(command, self.cfg(tmp_path)) == 0
+        assert report(tmp_path, f"{command}.json")["roots"] == []
 
 
 class TestStationaryCommand:

@@ -44,7 +44,7 @@ class TestIntegrate:
     def test_rule_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="positive"):
             QuadratureRule(nodes=np.array([0.0, 1.0]),
-                           weights=np.array([1.0, -1.0]), domain=(0, 1))
+                           weights=np.array([1.0, -1.0]))
 
 
 class TestFindRoots:

@@ -19,7 +19,7 @@ def noiseless_ou(sigma=0.0):
         a=lambda x: -np.asarray(x, dtype=float),
         c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         g=IDENT, coupling_v=IDENT,
-        log_gibbs=lambda x, m: -x * x, symmetric=True, c_const=1.0)
+        log_gibbs=lambda x, m: -x * x, symmetric=True)
 
 
 class TestStep:
@@ -42,7 +42,7 @@ class TestStep:
         explosive = ScalarMeanFieldModel(
             name="cubic", beta=0.0, sigma=0.0,
             a=lambda x: x * x * x, c=lambda x: np.ones_like(x), g=IDENT,
-            coupling_v=IDENT, log_gibbs=lambda x, m: -x * x, c_const=1.0)
+            coupling_v=IDENT, log_gibbs=lambda x, m: -x * x)
         ens = make_ensemble(np.array([0.0, 2.0]), explosive, seed=0)
         with pytest.raises(BlowUpError, match="particle 1"), \
                 np.errstate(over="ignore", invalid="ignore"):
@@ -99,6 +99,18 @@ class TestEvolve:
         guard = relaxation_dt_bound(mdl)
         with pytest.raises(ValueError, match="relaxation guard"):
             evolve(ens, mdl, t_end=1.0, dt=5 * guard)
+
+    def test_guard_rejects_nonfinite_log_density(self):
+        # a law on |x| < 5 only: its log-density is -inf on the rest of
+        # the guard's scan
+        boxed = ScalarMeanFieldModel(
+            name="boxed", beta=0.0, sigma=1.0,
+            a=lambda x: -np.asarray(x, dtype=float),
+            c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            g=IDENT, coupling_v=IDENT,
+            log_gibbs=lambda x, m: np.where(np.abs(x) < 5.0, -x * x, -np.inf))
+        with pytest.raises(ValueError, match="boxed is not finite"):
+            relaxation_dt_bound(boxed)
 
     def test_stationary_branch_band(self):
         # initialized on the outer branch the empirical statistic stays
