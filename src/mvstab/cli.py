@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from types import SimpleNamespace
 
@@ -55,11 +54,20 @@ def _choice(*allowed):
     return parse
 
 
-def _positive(parse, noun, zero_ok=False):
+def _finite(parse):
     def check(raw):
         value = parse(raw)
         if not math.isfinite(value):
             raise ValueError(f"must be finite, got {raw!r}")
+        return value
+    return check
+
+
+def _positive(parse, noun, zero_ok=False):
+    finite = _finite(parse)
+
+    def check(raw):
+        value = finite(raw)
         if not (value > 0 or zero_ok and value == 0):
             raise ValueError(f"must be {noun}, got {raw!r}")
         return value
@@ -67,6 +75,7 @@ def _positive(parse, noun, zero_ok=False):
 
 
 _count = _positive(int, "a positive integer")
+_positive_float = _positive(float, "positive")
 
 
 # section -> key -> (parser that also checks the value, default as it would
@@ -75,13 +84,13 @@ _count = _positive(int, "a positive integer")
 CONFIG_KEYS = {
     "mvstab": {"config_version": (_choice("1"), None)},
     "model": {"name": (_choice(*sorted(BUILTIN_MODELS)), None),
-              "beta": (float, "1.0"),
-              "sigma": (_optional(float), None)},
-    "grid": {"L": (_auto(float), "auto"),
+              "beta": (_finite(float), "1.0"),
+              "sigma": (_optional(_positive_float), None)},
+    "grid": {"L": (_auto(_positive(float, "positive or auto")), "auto"),
              "n_nodes": (_count, "3200")},
     "basis": {"degree": (_count, "120")},
-    "stationary": {"scan_min": (_optional(float), None),
-                   "scan_max": (_optional(float), None),
+    "stationary": {"scan_min": (_optional(_finite(float)), None),
+                   "scan_max": (_optional(_finite(float)), None),
                    "n_scan": (_count, "2001")},
     "spectrum": {"root": (lambda raw: raw if raw == "all" else float(raw),
                           "all")},
@@ -94,13 +103,13 @@ CONFIG_KEYS = {
     "simulation": {"engine": (_choice("fp", "particles"), "fp"),
                    "n_particles": (_count, "100000"),
                    "dt": (_auto(_positive(float, "positive or auto")), "auto"),
-                   "t_end": (_positive(float, "positive"), "40.0"),
+                   "t_end": (_positive_float, "40.0"),
                    "seed": (int, "0"),
                    "stride": (_count, "25"),
                    "n_cells": (_count, "1600"),
-                   "stop_band_factor": (float, "3.0")},
-    "sweep": {"sigma_min": (float, "0.3"),
-              "sigma_max": (float, "1.3"),
+                   "stop_band_factor": (_positive_float, "3.0")},
+    "sweep": {"sigma_min": (_positive_float, "0.3"),
+              "sigma_max": (_positive_float, "1.3"),
               "n_sigma": (_count, "21")},
     "output": {"directory": (str, "out")},
 }
@@ -145,6 +154,11 @@ def load_config(path: str) -> ExperimentConfig:
                 values[key] = parse(cp.get(section, key, fallback=default))
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
+    for section, lo, hi in (("stationary", "scan_min", "scan_max"),
+                            ("sweep", "sigma_min", "sigma_max")):
+        if None not in (values[lo], values[hi]) and values[lo] >= values[hi]:
+            raise ValueError(f"[{section}] {lo}: must be below {hi} = "
+                             f"{values[hi]:g}, got {values[lo]:g}")
     return ExperimentConfig(**values)
 
 
@@ -438,11 +452,7 @@ def _sweep_point(model, sigma, cfg):
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     model = cfg.build()
     sigmas = np.linspace(cfg.sigma_min, cfg.sigma_max, cfg.n_sigma)
-    workers = int(os.environ.get("MVSTAB_THREADS",
-                                 min(4, os.cpu_count() or 1)))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as ex:
-        rows = list(ex.map(lambda s: _sweep_point(model, float(s), cfg),
-                           sigmas))
+    rows = [_sweep_point(model, float(s), cfg) for s in sigmas]
     cols = ["sigma", "branch_count", "m_minus", "m_zero", "m_plus",
             "s0_zero", "lambda_star"]
     files = [write_csv(cfg.directory, "sweep.csv", cols,

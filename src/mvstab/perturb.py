@@ -108,7 +108,6 @@ class PerturbationSpec:
     h_poly: np.ndarray
     M: float
     center: float
-    delta: float
     gamma_check: float
 
     def g_M_at(self, x) -> np.ndarray:
@@ -163,8 +162,7 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
     g_M, gamma = truncate_center(gibbs, h_vals, M)
     center = float(gibbs.moment(np.clip(h_vals, -M, M)))
     spec = PerturbationSpec(basis=basis, h_poly=h_poly, M=float(M),
-                            center=center, delta=float(delta),
-                            gamma_check=gamma)
+                            center=center, gamma_check=gamma)
     return spec, perturbed_measure(gibbs, g_M, delta)
 
 

@@ -133,13 +133,24 @@ class TestConfig:
         ("simulation", "t_end", "-1"), ("perturbation", "delta", "-1e-3"),
         ("grid", "n_nodes", "0"), ("stationary", "n_scan", "0"),
         ("simulation", "t_end", "inf"), ("simulation", "dt", "inf"),
-        ("perturbation", "delta", "inf")])
+        ("perturbation", "delta", "inf"), ("model", "beta", "nan"),
+        ("model", "sigma", "inf"), ("model", "sigma", "-1"),
+        ("grid", "L", "inf"), ("grid", "L", "-2"),
+        ("simulation", "stop_band_factor", "0"),
+        ("simulation", "stop_band_factor", "-1"),
+        ("sweep", "sigma_min", "0"), ("sweep", "sigma_min", "nan"),
+        ("sweep", "sigma_max", "inf"), ("sweep", "sigma_min", "1.5"),
+        ("stationary", "scan_min", "-inf"), ("stationary", "scan_max", "nan"),
+        ("stationary", "scan_min", "4")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
         path = Path(write_cfg(tmp_path, t_end=0.5))
         line = f"{key} = {value}\n"
         text, found = re.subn(rf"^{key} = .*\n", line, path.read_text(),
                               flags=re.M)
+        if not found:       # a key BASE omits goes under its section
+            text, found = re.subn(rf"^\[{section}\]\n", rf"\g<0>{line}",
+                                  text, flags=re.M)
         path.write_text(text if found else text + f"[{section}]\n{line}")
         assert run("instability", str(path)) == 1
         assert f"error: [{section}] {key}: " in capsys.readouterr().err
@@ -349,6 +360,12 @@ class TestSweepCommand:
                              names=True)
         assert np.all(rows["branch_count"] == 1)
         assert np.abs(rows["m_zero"]).max() < 1e-9
+
+    def test_thread_variable_not_read(self, tmp_path, monkeypatch):
+        # the sweep runs its points in order on one thread and reads no
+        # environment variable
+        monkeypatch.setenv("MVSTAB_THREADS", "abc")
+        assert run("sweep", write_cfg(tmp_path)) == 0
 
 
 class TestMainEntry:

@@ -11,9 +11,12 @@ from mvstab.spectrum import analyze_branch
 from mvstab.stationary import GridSpec, build_gibbs
 
 
+DELTA = 1e-2
+
+
 @pytest.fixture(scope="module")
 def setup(dawson_sub):
-    spec, mu_d = make_perturbation(dawson_sub, delta=1e-2)
+    spec, mu_d = make_perturbation(dawson_sub, delta=DELTA)
     return dawson_sub, spec, mu_d
 
 
@@ -71,7 +74,7 @@ class TestPerturbedMeasure:
 
     def test_ratio_bounds(self, setup):
         s, spec, mu_d = setup
-        bound = spec.delta * spec.M
+        bound = DELTA * spec.M
         assert bound < 1.0
         assert mu_d.ratio.min() > 1.0 - bound - 1e-12
         assert mu_d.ratio.max() < 1.0 + bound + 1e-12
@@ -86,7 +89,7 @@ class TestPerturbedMeasure:
         g_M = spec.g_M_at(x)
         for f in (x, x ** 2, x ** 3 - x):
             got = mu_d.moment(f) - s.gibbs.moment(f)
-            assert got == pytest.approx(spec.delta * s.gibbs.moment(g_M * f),
+            assert got == pytest.approx(DELTA * s.gibbs.moment(g_M * f),
                                         abs=1e-10)
 
     def test_linearity_in_delta(self, dawson_sub):
