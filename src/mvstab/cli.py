@@ -28,7 +28,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .escape import escape_run
 from .model import BUILTIN_MODELS, ScalarMeanFieldModel, build_model
 from .spectrum import analyze_branch, secular_function
 from .stationary import (GridSpec, build_gibbs, critical_sigma,
@@ -360,6 +359,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
+    # imported here: escape pulls in scipy.interpolate, which no other
+    # command needs
+    from .escape import escape_run
+
     model = cfg.build()
     seed = cfg.seed if seed is None else seed
     rep = self_consistent_roots(model, scan_range=cfg.scan_range,

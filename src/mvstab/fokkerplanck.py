@@ -6,17 +6,19 @@
 on a truncated interval with zero-flux walls.  Interface fluxes use the
 Chang-Cooper exponential fitting, which reproduces the Gibbs density as
 an exact discrete steady state and keeps the update an M-matrix, hence
-positive, for any step size.  Each step solves one tridiagonal system
-(backward Euler in rho) while the coupling statistic m stays frozen at
-its current value, so the nonlinearity remains explicit and cheap.
+positive, for any step size.  Each step is one backward Euler solve in
+rho, a single LAPACK dgtsv call on the three diagonals of the implicit
+matrix, while the coupling statistic m stays frozen at its current
+value, so the nonlinearity remains explicit and cheap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .metrics import TimeSeries, record_run
 from .model import ScalarMeanFieldModel
@@ -87,6 +89,8 @@ def init_from_model(model: ScalarMeanFieldModel, grid: FpGrid,
 
 def _chang_cooper_delta(w: np.ndarray) -> np.ndarray:
     """delta(w) = 1/w - 1/(e^w - 1), series-expanded near w = 0."""
+    if np.abs(w).min() >= 1e-8:
+        return 1.0 / w - 1.0 / np.expm1(w)
     out = np.empty_like(w)
     small = np.abs(w) < 1e-8
     ws = w[small]
@@ -100,63 +104,75 @@ class FpStepper:
     """Precomputed geometry for repeated steps of one model on one grid."""
 
     def __init__(self, model: ScalarMeanFieldModel, grid: FpGrid):
-        self.model = model
         self.grid = grid
         xf = grid.interfaces
         self.a_if = model.a(xf)
-        self.c_if = model.c(xf)
+        self.beta_c_if = model.beta * model.c(xf)
         self.g_centers = model.g(grid.centers)
         self.D = 0.5 * model.sigma ** 2
         if self.D <= 0:
             raise ValueError("the scheme needs a positive diffusion")
+        if grid.n_cells < 2:
+            raise ValueError("the scheme needs at least two cells")
+        self._gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
 
     def flux_coefficients(self, m: float):
         """Chang-Cooper upwind/downwind coefficients at the interfaces."""
         dx = self.grid.dx
-        b = self.a_if + self.model.beta * self.c_if * m
+        b = self.a_if + self.beta_c_if * m
         w = b * dx / self.D
         delta = _chang_cooper_delta(w)
         c_plus = b * (1.0 - delta) + self.D / dx    # multiplies rho_i
         c_minus = self.D / dx - b * delta           # multiplies rho_{i+1}
         return c_plus, c_minus
 
-    def implicit_band(self, m: float, dt: float) -> np.ndarray:
-        """Backward Euler matrix I - dt A at frozen m, in solve_banded form.
+    def implicit_band(self, m: float, dt: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Backward Euler matrix I - dt A at frozen m as its three
+        diagonals (sub, main, super).
 
         A is the flux divergence: row i gains c_minus/dx rho_{i+1} and
         c_plus/dx rho_{i-1} and loses the outflow through both interfaces.
         """
-        n = self.grid.n_cells
-        dx = self.grid.dx
         c_plus, c_minus = self.flux_coefficients(m)
-        diag = np.zeros(n)
-        diag[:-1] -= c_plus / dx
-        diag[1:] -= c_minus / dx
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -dt * (c_minus / dx)
-        ab[1] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * (c_plus / dx)
-        return ab
+        up = c_plus / self.grid.dx
+        down = c_minus / self.grid.dx
+        diag = np.zeros(self.grid.n_cells)
+        diag[:-1] -= up
+        diag[1:] -= down
+        return -dt * up, 1.0 - dt * diag, -dt * down
+
+    def _solve(self, band, rhs: np.ndarray) -> np.ndarray:
+        """x with band @ x = rhs by one LAPACK dgtsv call, the routine
+        scipy.linalg's banded solver runs for one sub- and one
+        superdiagonal; band and rhs stay unchanged."""
+        *_, x, info = self._gtsv(*band, rhs)
+        if info > 0:
+            raise SchemeError(
+                f"tridiagonal solve failed: singular matrix at row {info}")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgtsv")
+        return x
 
     def step(self, state: FpState, dt: float) -> FpState:
         if dt <= 0:
             raise ValueError("dt must be positive")
-        try:
-            rho_new = solve_banded((1, 1), self.implicit_band(state.m, dt),
-                                   state.rho)
-        except np.linalg.LinAlgError as exc:
-            raise SchemeError(f"tridiagonal solve failed: {exc}") from exc
+        rho_new = self._solve(self.implicit_band(state.m, dt), state.rho)
+        m_new = float(np.dot(self.g_centers, rho_new) * self.grid.dx)
+        if not math.isfinite(m_new):
+            # any NaN or infinite cell reaches m, since 0 * inf is NaN
+            raise SchemeError(
+                f"non-finite density at t={state.t + dt:.6g}")
         if rho_new.min() < -1e-14:
             raise SchemeError(
                 f"negative density {rho_new.min():.3e} at "
                 f"t={state.t + dt:.6g}")
-        m_new = float(np.dot(self.g_centers, rho_new) * self.grid.dx)
         return FpState(rho=rho_new, t=state.t + dt, m=m_new)
 
     def steady_profile(self, m: float) -> np.ndarray:
         """Exact zero-flux steady density of the scheme at frozen m."""
         dx = self.grid.dx
-        b = self.a_if + self.model.beta * self.c_if * m
+        b = self.a_if + self.beta_c_if * m
         logr = np.concatenate([[0.0], np.cumsum(b * dx / self.D)])
         rho = np.exp(logr - logr.max())
         return rho / (rho.sum() * dx)
@@ -240,12 +256,12 @@ def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
     (nu, g); the channel ``nu`` holds one row of cell values per record.
     """
     stepper = FpStepper(model, grid)
-    ab = stepper.implicit_band(m_inf, dt)
+    band = stepper.implicit_band(m_inf, dt)
     n = grid.n_cells
     dx = grid.dx
 
     rho_if = 0.5 * (rho_inf[:-1] + rho_inf[1:])
-    src_flux = model.beta * stepper.c_if * rho_if
+    src_flux = stepper.beta_c_if * rho_if
     gc = model.g(grid.centers)
 
     def advance(cur: FpState) -> FpState:
@@ -253,7 +269,7 @@ def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
         fl = src_flux * cur.m
         div[:-1] -= fl / dx
         div[1:] += fl / dx
-        nu = solve_banded((1, 1), ab, cur.rho + dt * div)
+        nu = stepper._solve(band, cur.rho + dt * div)
         return FpState(rho=nu, t=cur.t + dt, m=float(np.dot(gc, nu) * dx))
 
     nu0 = np.asarray(nu0, dtype=float)

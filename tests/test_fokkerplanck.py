@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from mvstab.fokkerplanck import (FpGrid, FpStepper, SchemeError, auto_grid,
-                                 default_dt, discrete_stationary, fp_evolve,
-                                 fp_evolve_linear, init_from_model,
-                                 state_from_density)
+from mvstab.fokkerplanck import (FpGrid, FpState, FpStepper, SchemeError,
+                                 auto_grid, default_dt, discrete_stationary,
+                                 fp_evolve, fp_evolve_linear,
+                                 init_from_model, state_from_density)
 from mvstab.model import ScalarMeanFieldModel, dawson_model
 from mvstab.numerics import fit_exp_rate
 from mvstab.perturb import make_perturbation
@@ -97,6 +98,69 @@ class TestStep:
         mdl = free_diffusion(sigma=0.0)
         with pytest.raises(ValueError, match="diffusion"):
             FpStepper(mdl, FpGrid(L=1.0, n_cells=16))
+
+    def test_single_cell_rejected(self, dawson08):
+        with pytest.raises(ValueError, match="two cells"):
+            FpStepper(dawson08, FpGrid(L=1.0, n_cells=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, dawson08, bad):
+        # a NaN cell passes the negativity test (nan < x is False), so the
+        # step must catch it on its own
+        grid = FpGrid(L=5.0, n_cells=300)
+        st = init_from_model(dawson08, grid, 0.0)
+        rho = st.rho.copy()
+        rho[150] = bad
+        with pytest.raises(SchemeError, match="non-finite"):
+            FpStepper(dawson08, grid).step(FpState(rho=rho, t=0.0, m=st.m),
+                                           1e-3)
+
+
+def _banded_reference_step(mdl, grid, rho, m, dt):
+    """Backward Euler step built the long way: masked Chang-Cooper weights,
+    a zero-filled (3, n) band and scipy's solve_banded.  Returns the new
+    density, its statistic and the smallest |w| of the weights."""
+    dx, D = grid.dx, 0.5 * mdl.sigma ** 2
+    xf = grid.interfaces
+    b = mdl.a(xf) + mdl.beta * mdl.c(xf) * m
+    w = b * dx / D
+    small = np.abs(w) < 1e-8
+    delta = np.empty_like(w)
+    delta[small] = 0.5 - w[small] / 12.0
+    delta[~small] = 1.0 / w[~small] - 1.0 / np.expm1(w[~small])
+    c_plus = b * (1.0 - delta) + D / dx
+    c_minus = D / dx - b * delta
+    diag = np.zeros(grid.n_cells)
+    diag[:-1] -= c_plus / dx
+    diag[1:] -= c_minus / dx
+    ab = np.zeros((3, grid.n_cells))
+    ab[0, 1:] = -dt * (c_minus / dx)
+    ab[1] = 1.0 - dt * diag
+    ab[2, :-1] = -dt * (c_plus / dx)
+    rho = solve_banded((1, 1), ab, rho)
+    return rho, float(np.dot(mdl.g(grid.centers), rho) * dx), np.abs(w).min()
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("case", ["dawson", "free"])
+    def test_bit_identical_to_banded_reference(self, dawson08, case):
+        # dawson keeps every |w| >= 1e-8; free diffusion has b = 0, so
+        # every weight takes the series branch
+        if case == "dawson":
+            mdl, grid = dawson08, FpGrid(L=5.0, n_cells=400)
+            st = init_from_model(mdl, grid, 0.3)
+        else:
+            mdl, grid = free_diffusion(sigma=1.0), FpGrid(L=6.0, n_cells=600)
+            x = grid.centers
+            st = state_from_density(np.exp(-x * x / (2 * 0.25)), mdl, grid)
+        stepper = FpStepper(mdl, grid)
+        rho, m, w_min = st.rho, st.m, np.inf
+        for _ in range(500):
+            st = stepper.step(st, 1e-3)
+            rho, m, w = _banded_reference_step(mdl, grid, rho, m, 1e-3)
+            w_min = min(w_min, w)
+            assert np.array_equal(st.rho, rho) and st.m == m
+        assert w_min >= 1e-8 if case == "dawson" else w_min == 0.0
 
 
 class TestDiscreteStationary:
