@@ -400,7 +400,7 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
         [("|pairing|", t, np.abs(pair)),
          ("|m - m_root|", t, np.abs(m - res.m_center)),
          ("W1", t, w1)], logy=True))
-    files.append(write_report(cfg.directory, "instability.json", {
+    report = {
         "command": "instability",
         "model": _model_block(model),
         "status": res.status,
@@ -417,7 +417,10 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
         "w1_initial": float(w1[0]),
         "w1_final": float(w1[-1]),
         "w1_at_escape": res.w1_at_escape,
-    }))
+    }
+    if cfg.engine == "fp":
+        report.update(dt=res.dt, steps=res.steps, step_error=res.step_error)
+    files.append(write_report(cfg.directory, "instability.json", report))
     write_manifest(cfg.directory, "instability", files)
     if res.status == "inconclusive":
         print("inconclusive: the observable never traversed the fit window")

@@ -144,6 +144,7 @@ def _banded_reference_step(mdl, grid, rho, m, dt):
 class TestDirectSolve:
     @pytest.mark.parametrize("case", ["dawson", "free"])
     def test_bit_identical_to_banded_reference(self, dawson08, case):
+        # the backward Euler half-step solve that FpStepper.step combines;
         # dawson keeps every |w| >= 1e-8; free diffusion has b = 0, so
         # every weight takes the series branch
         if case == "dawson":
@@ -156,11 +157,64 @@ class TestDirectSolve:
         stepper = FpStepper(mdl, grid)
         rho, m, w_min = st.rho, st.m, np.inf
         for _ in range(500):
-            st = stepper.step(st, 1e-3)
-            rho, m, w = _banded_reference_step(mdl, grid, rho, m, 1e-3)
+            st = stepper.backward_euler(st, 5e-4)
+            rho, m, w = _banded_reference_step(mdl, grid, rho, m, 5e-4)
             w_min = min(w_min, w)
             assert np.array_equal(st.rho, rho) and st.m == m
         assert w_min >= 1e-8 if case == "dawson" else w_min == 0.0
+
+
+class TestRichardsonStep:
+    def test_step_is_extrapolated_backward_euler(self, dawson08):
+        grid = FpGrid(L=5.0, n_cells=400)
+        st = init_from_model(dawson08, grid, 0.3)
+        stepper = FpStepper(dawson08, grid)
+        dt = 0.02
+        full = stepper.backward_euler(st, dt)
+        halves = stepper.backward_euler(stepper.backward_euler(st, dt / 2),
+                                        dt / 2)
+        out = stepper.step(st, dt)
+        assert np.array_equal(out.rho, 2.0 * halves.rho - full.rho)
+        assert out.t == st.t + dt
+        assert out.m == float(np.dot(dawson08.g(grid.centers), out.rho)
+                              * grid.dx)
+        assert stepper.step_error == np.abs(halves.rho - full.rho).max()
+
+    def test_second_order_in_time(self, dawson08):
+        # the end-point error in m against a fine run to t = 1 falls
+        # fourfold when dt is halved
+        grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=400)
+        st0 = init_from_model(dawson08, grid, 0.5)
+
+        def m_at_one(dt):
+            stepper, st = FpStepper(dawson08, grid), st0
+            for _ in range(int(round(1.0 / dt))):
+                st = stepper.step(st, dt)
+            return st.m
+
+        ref = m_at_one(0.000625)
+        errs = [abs(m_at_one(dt) - ref) for dt in (0.04, 0.02, 0.01)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.0 <= coarse / fine <= 5.0
+
+    def test_negative_extrapolation_falls_back_to_half_steps(self, dawson08):
+        # a bump narrower than the step's diffusion length: the
+        # extrapolation undershoots, and the step keeps the two positive
+        # half steps instead
+        grid = FpGrid(L=5.0, n_cells=1000)
+        x = grid.centers
+        st = state_from_density(np.exp(-x * x / (2 * 0.02 ** 2)), dawson08,
+                                grid)
+        stepper = FpStepper(dawson08, grid)
+        dt = 0.05
+        full = stepper.backward_euler(st, dt)
+        halves = stepper.backward_euler(stepper.backward_euler(st, dt / 2),
+                                        dt / 2)
+        assert (2.0 * halves.rho - full.rho).min() < -1e-14
+        out = stepper.step(st, dt)
+        assert np.array_equal(out.rho, halves.rho)
+        assert out.rho.min() >= 0.0
+        assert abs(out.mass(grid) - 1.0) < 1e-13
 
 
 class TestDiscreteStationary:
