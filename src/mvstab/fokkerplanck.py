@@ -276,38 +276,3 @@ def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,
     rho = stepper.steady_profile(m_star)
     return FpState(rho=rho, t=0.0, m=float(np.dot(gc, rho) * grid.dx))
 
-
-def fp_evolve_linear(nu0: np.ndarray, model: ScalarMeanFieldModel,
-                     grid: FpGrid, rho_inf: np.ndarray, m_inf: float,
-                     t_end: float, dt: float, stride: int = 1) -> TimeSeries:
-    """Linearized transport of a zero-mass signed density nu.
-
-    Coefficients are frozen at the stationary state: nu feels the frozen
-    flux operator plus the rank-one source -d/dx(beta c rho_inf) * (nu, g)
-    discretized in flux form, so the total signed mass stays zero.  Each
-    step is one backward Euler solve, not the extrapolated step.  The
-    run steps an ``FpState`` whose ``rho`` is nu and whose ``m`` is
-    (nu, g); the channel ``nu`` holds one row of cell values per record.
-    """
-    stepper = FpStepper(model, grid)
-    band = stepper.implicit_band(stepper.flux_coefficients(m_inf), dt)
-    n = grid.n_cells
-    dx = grid.dx
-
-    rho_if = 0.5 * (rho_inf[:-1] + rho_inf[1:])
-    src_flux = stepper.beta_c_if * rho_if
-    gc = model.g(grid.centers)
-
-    def advance(cur: FpState) -> FpState:
-        div = np.zeros(n)
-        fl = src_flux * cur.m
-        div[:-1] -= fl / dx
-        div[1:] += fl / dx
-        nu = stepper._solve(band, cur.rho + dt * div)
-        return FpState(rho=nu, t=cur.t + dt, m=float(np.dot(gc, nu) * dx))
-
-    nu0 = np.asarray(nu0, dtype=float)
-    start = FpState(rho=nu0, t=0.0, m=float(np.dot(gc, nu0) * dx))
-    return record_run(start, advance, t_end=t_end, dt=dt,
-                      view=lambda s: s.rho, observers={"nu": np.copy},
-                      stride=stride)

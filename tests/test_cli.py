@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from mvstab import cli
-from mvstab.cli import CONFIG_KEYS, load_config, load_report_schema, main
+from mvstab.cli import CONFIG_KEYS, load_config, main
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -56,8 +61,29 @@ def write_cfg(tmp_path, **kw):
     return str(p)
 
 
+def load_report_schema() -> dict:
+    ref = resources.files("mvstab") / "schemas" / "report.schema.json"
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+REPORT_SCHEMA = load_report_schema()
+
+
 def run(cmd, cfg, *extra):
-    return main([cmd, "--config", cfg, *extra])
+    """Run one command and validate every JSON report it wrote against
+    the shipped schema; the program itself writes them unchecked."""
+    write_report, written = cli.write_report, []
+
+    def recording_write_report(*args):
+        written.append(write_report(*args))
+        return written[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_report", recording_write_report)
+        code = main([cmd, "--config", cfg, *extra])
+    for path in written:
+        jsonschema.validate(json.loads(Path(path).read_text()), REPORT_SCHEMA)
+    return code
 
 
 def report(tmp_path, name):
@@ -141,7 +167,9 @@ class TestConfig:
         ("sweep", "sigma_min", "0"), ("sweep", "sigma_min", "nan"),
         ("sweep", "sigma_max", "inf"), ("sweep", "sigma_min", "1.5"),
         ("stationary", "scan_min", "-inf"), ("stationary", "scan_max", "nan"),
-        ("stationary", "scan_min", "4")])
+        ("stationary", "scan_min", "4"), ("spectrum", "root", "nan"),
+        ("spectrum", "root", "inf"), ("perturbation", "M", "nan"),
+        ("perturbation", "M", "inf"), ("simulation", "seed", "-1")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
         path = Path(write_cfg(tmp_path, t_end=0.5))
@@ -217,12 +245,19 @@ class TestStationaryCommand:
                           skip_header=1)
         assert np.abs(a - b).max() < 1e-8
 
-    def test_schema_validates(self, tmp_path):
-        import jsonschema
-        cfg = write_cfg(tmp_path)
-        run("stationary", cfg)
-        jsonschema.validate(report(tmp_path, "stationary.json"),
-                            load_report_schema())
+    def test_no_schema_check_at_run_time(self, tmp_path):
+        # run() validates the reports; the program needs numpy and scipy
+        # only, so a fresh interpreter never imports jsonschema
+        code = ("import sys; from mvstab.cli import main; "
+                "status = main(['stationary', '--config', sys.argv[1]]); "
+                "print(status, 'jsonschema' in sys.modules)")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, write_cfg(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out.split() == ["0", "False"]
 
     def test_idempotent_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -305,13 +340,13 @@ class TestInstabilityCommand:
     def test_particles_engine_runs_and_seed_changes_series(self, tmp_path):
         cfg = write_cfg(tmp_path, engine="particles", n_particles=2000,
                         dt="auto", t_end=1.0, delta=1e-2)
-        code = run("instability", cfg, "--seed", "3")
-        assert code in (0, 2)
-        a = (tmp_path / "out" / "series.csv").read_bytes()
-        code = run("instability", cfg, "--seed", "4")
-        assert code in (0, 2)
-        b = (tmp_path / "out" / "series.csv").read_bytes()
-        assert a != b
+        series = []
+        for seed in ("3", "4"):
+            code = run("instability", cfg, "--seed", seed)
+            status = report(tmp_path, "instability.json")["status"]
+            assert (code, status) in ((0, "ok"), (2, "inconclusive"))
+            series.append((tmp_path / "out" / "series.csv").read_bytes())
+        assert series[0] != series[1]
 
 
 class TestCustomDirection:

@@ -4,12 +4,11 @@ from scipy.linalg import solve_banded
 
 from mvstab.fokkerplanck import (FpGrid, FpState, FpStepper, SchemeError,
                                  auto_grid, default_dt, discrete_stationary,
-                                 fp_evolve, fp_evolve_linear,
-                                 init_from_model, state_from_density)
+                                 fp_evolve, init_from_model,
+                                 state_from_density)
 from mvstab.model import ScalarMeanFieldModel, dawson_model
 from mvstab.numerics import fit_exp_rate
 from mvstab.perturb import make_perturbation
-from mvstab.spectrum import full_generator_matrix, linearized_propagate
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -295,44 +294,6 @@ class TestEvolve:
         st = init_from_model(dawson08, grid, 0.0)
         with pytest.raises(ValueError, match="dt must be positive"):
             fp_evolve(st, dawson08, grid, t_end=0.5, dt=0.0)
-
-
-class TestFrozenLinearization:
-    def test_pairing_matches_matrix_exponential(self, dawson_sub):
-        # duality oracle: <nu_t, f> computed by transporting the signed
-        # density must match <nu_0, exp(tM) f> from the Galerkin matrix
-        mdl = dawson_sub.gibbs.model
-        M = full_generator_matrix(dawson_sub.spectrum, dawson_sub.coupling)
-        pspec, _ = make_perturbation(dawson_sub, delta=1e-3)
-        grid = FpGrid(L=5.0, n_cells=1600)
-        ss = discrete_stationary(mdl, grid, 0.0)
-        nu0 = pspec.g_M_at(grid.centers) * ss.rho
-        nu0 -= ss.rho * (nu0.sum() / ss.rho.sum())
-
-        n = dawson_sub.basis.degree
-        f_poly = np.zeros(n + 1)
-        f_poly[1], f_poly[2] = 1.0, 0.5
-        f_eig = dawson_sub.spectrum.vectors.T @ f_poly
-        ts = fp_evolve_linear(nu0, mdl, grid, ss.rho, ss.m,
-                              t_end=1.0, dt=2e-4, stride=10 ** 9)
-        f_grid = dawson_sub.basis.eval_series(f_poly, grid.centers)
-        route_measure = float(np.dot(ts["nu"][-1], f_grid) * grid.dx)
-        qtf = linearized_propagate(M, f_eig, 1.0)
-        qtf_grid = dawson_sub.basis.eval_series(
-            dawson_sub.spectrum.vectors @ qtf, grid.centers)
-        route_observable = float(np.dot(nu0, qtf_grid) * grid.dx)
-        assert abs(route_measure - route_observable) < 1e-4 * abs(
-            route_observable)
-
-    def test_signed_mass_conserved(self, dawson_sub):
-        mdl = dawson_sub.gibbs.model
-        grid = FpGrid(L=5.0, n_cells=400)
-        ss = discrete_stationary(mdl, grid, 0.0)
-        nu0 = grid.centers * ss.rho
-        nu0 -= ss.rho * (nu0.sum() / ss.rho.sum())
-        ts = fp_evolve_linear(nu0, mdl, grid, ss.rho, ss.m,
-                              t_end=0.5, dt=1e-3, stride=100)
-        assert abs(ts["nu"][-1].sum() * grid.dx) < 1e-13
 
 
 class TestDefaults:
