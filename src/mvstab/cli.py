@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .model import BUILTIN_MODELS, ScalarMeanFieldModel, build_model
 from .spectrum import analyze_branch, secular_function
-from .stationary import (GridSpec, build_gibbs, critical_sigma,
-                         default_scan_range, self_consistent_roots)
+from .stationary import (GridSpec, build_gibbs, critical_sigma, psi,
+                         self_consistent_roots)
 
 SCHEMA_VERSION = "1"
 
@@ -277,13 +277,12 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
     rep = self_consistent_roots(model, scan_range=cfg.scan_range,
                                 n_scan=cfg.n_scan,
                                 grid_spec=cfg.grid_spec())
-    sigma_c = None
-    if model.symmetric and model.beta != 0.0:
-        sigma_c = critical_sigma(model,
-                                 (0.1 * model.sigma, 3.0 * model.sigma),
-                                 grid_spec=cfg.grid_spec())
+    sigma_c = critical_sigma(model, (0.1 * model.sigma, 3.0 * model.sigma),
+                             grid_spec=cfg.grid_spec())
+    ms = np.linspace(*rep.scan_range, min(cfg.n_scan, 401))
     files = [write_csv(cfg.directory, "psi.csv", ["m", "psi"],
-                       [rep.psi_at_scan[:, 0], rep.psi_at_scan[:, 1]])]
+                       [ms, np.array([psi(model, m, rule=rep.rule)
+                                      for m in ms])])]
     files.append(write_report(cfg.directory, "stationary.json", {
         "command": "stationary",
         "model": _model_block(model),
@@ -297,10 +296,10 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _require_branch(rep, model: ScalarMeanFieldModel, cfg: ExperimentConfig):
+def _require_branch(rep, model: ScalarMeanFieldModel):
     """Refuse a branch search that found nothing, naming its window."""
     if not rep.roots:
-        lo, hi = cfg.scan_range or default_scan_range(model)
+        lo, hi = rep.scan_range
         raise ValueError(
             f"no stationary branch of {model.name} at sigma={model.sigma:g} "
             f"in the scan window [{lo:g}, {hi:g}]; widen scan_min/scan_max")
@@ -318,7 +317,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     if cfg.root == "all":
         targets = rep.roots
     else:
-        _require_branch(rep, model, cfg)
+        _require_branch(rep, model)
         targets = [min(rep.roots,
                        key=lambda r: abs(r - cfg.root))]
     blocks = []
@@ -352,16 +351,15 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
+def cmd_instability(cfg: ExperimentConfig) -> int:
     # imported here: escape pulls in scipy.interpolate, which no other
     # command needs
     from .escape import escape_run
 
     model = cfg.build()
-    seed = cfg.seed if seed is None else seed
     rep = self_consistent_roots(model, scan_range=cfg.scan_range,
                                 n_scan=cfg.n_scan, grid_spec=cfg.grid_spec())
-    _require_branch(rep, model, cfg)
+    _require_branch(rep, model)
     order = np.argsort(rep.s0_per_root)[::-1]
     m_root = rep.roots[int(order[0])]
     branch = _analyze(model, m_root, cfg)
@@ -382,7 +380,7 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
                      t_end=cfg.t_end, stride=cfg.stride,
                      stop_band_factor=cfg.stop_band_factor, dt=cfg.dt,
                      n_cells=cfg.n_cells, n_particles=cfg.n_particles,
-                     seed=seed, direction=cfg.direction, M=cfg.M,
+                     seed=cfg.seed, direction=cfg.direction, M=cfg.M,
                      custom_file=cfg.custom_file)
     t, m, pair, w1 = (res.series.times, res.series["m"],
                       res.series["pairing"], res.series["w1"])
@@ -401,7 +399,7 @@ def cmd_instability(cfg: ExperimentConfig, seed: int | None = None) -> int:
         "m_root": float(m_root),
         "engine": cfg.engine,
         "delta": cfg.delta,
-        "seed": seed,
+        "seed": cfg.seed,
         "lambda_star": float(branch.mode.lambda_star),
         "initial_pairing": res.initial_pairing,
         "fitted_rate": res.fitted_rate,
@@ -427,7 +425,7 @@ def _sweep_point(model, sigma, cfg):
     rep = self_consistent_roots(mdl, scan_range=cfg.scan_range,
                                 n_scan=max(401, cfg.n_scan // 4),
                                 grid_spec=cfg.grid_spec())
-    _require_branch(rep, mdl, cfg)
+    _require_branch(rep, mdl)
     m0 = min(rep.roots, key=abs)
     i0 = rep.roots.index(m0)
     s0 = rep.s0_per_root[i0]
@@ -458,8 +456,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     files = [write_csv(cfg.directory, "sweep.csv", cols,
                        [np.array([r[c] for r in rows]) for c in cols])]
     sigma_c = critical_sigma(model, (cfg.sigma_min, cfg.sigma_max),
-                             grid_spec=cfg.grid_spec()) \
-        if model.symmetric else None
+                             grid_spec=cfg.grid_spec())
     files.append(write_report(cfg.directory, "sweep.json", {
         "command": "sweep",
         "model": _model_block(model),
@@ -486,7 +483,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None,
                         help="output directory (default from config)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", default=None,
                         help="override the simulation seed")
     try:
         args = parser.parse_args(argv)
@@ -497,13 +494,18 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg.directory = args.out
+        if args.seed is not None:
+            try:
+                cfg.seed = CONFIG_KEYS["simulation"]["seed"][0](args.seed)
+            except ValueError as exc:
+                raise ValueError(f"--seed: {exc}") from None
         os.makedirs(cfg.directory, exist_ok=True)
         if args.command == "stationary":
             return cmd_stationary(cfg)
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "instability":
-            return cmd_instability(cfg, seed=args.seed)
+            return cmd_instability(cfg)
         return cmd_sweep(cfg)
     except Exception as exc:     # noqa: BLE001 - single CLI error funnel
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,10 @@ of the self-consistency residual psi(m) = mu_m(g) - m.  This module
 builds mu_m on a quadrature grid, locates all branches, evaluates the
 covariance stability indicator S0 per branch, and finds the critical
 noise level where the symmetric branch changes character.
+
+Differentiating the Gibbs family in m gives psi'(m) = S0(m) - 1 for
+every model that satisfies its gradient identity, so S0 grades a branch
+and also flags a fold (|S0 - 1| < 1e-6) without differentiating psi.
 """
 from __future__ import annotations
 
@@ -201,22 +205,24 @@ _SCAN_RANGES = {
 }
 
 
-def default_scan_range(model: ScalarMeanFieldModel) -> tuple[float, float]:
-    return _SCAN_RANGES.get(model.name, (-3.0, 3.0))
-
-
 @dataclass(frozen=True)
 class SelfConsistencyReport:
-    """All located stationary branches with their stability indicators."""
+    """Stationary branches with their indicators S0, the scan window the
+    search used and its quadrature rule.  A root is a fold where
+    |S0 - 1| < 1e-6, because psi' = S0 - 1 there."""
 
     roots: list[float]
-    psi_at_scan: np.ndarray        # columns (m, psi(m))
     s0_per_root: list[float]
-    fold_flags: list[bool]
+    scan_range: tuple[float, float]
+    rule: QuadratureRule
 
     @property
     def branch_count(self) -> int:
         return len(self.roots)
+
+    @property
+    def fold_flags(self) -> list[bool]:
+        return [abs(s0 - 1.0) < 1e-6 for s0 in self.s0_per_root]
 
 
 def self_consistent_roots(model: ScalarMeanFieldModel,
@@ -226,35 +232,24 @@ def self_consistent_roots(model: ScalarMeanFieldModel,
                           ) -> SelfConsistencyReport:
     """Locate every zero of psi on the scan range and grade each branch.
 
-    Roots are bisected to 1e-10 in m.  Roots where psi also has a
-    vanishing slope (|psi'| < 1e-6) are tagged as folds: at a branch
-    merger bisection cannot separate the coincident zeros, so the
-    degenerate root is reported once.
+    Roots are bisected to 1e-10 in m and graded by S0.  Since
+    psi' = S0 - 1, a root with |S0 - 1| < 1e-6 is flagged as a fold: at
+    a branch merger bisection cannot separate the coincident zeros, so
+    the degenerate root is reported once.  The report carries the scan
+    window (the model's default when none is given) and the rule.
     """
-    scan_range = scan_range or default_scan_range(model)
+    scan_range = scan_range or _SCAN_RANGES.get(model.name, (-3.0, 3.0))
     grid_spec = grid_spec or GridSpec()
     if model.symmetric and not (scan_range[0] < 0.0 < scan_range[1]):
         raise ValueError("scan range must contain 0 for a symmetric model")
     rule = make_rule(model, grid_spec,
                      m_values=(scan_range[0], 0.0, scan_range[1]))
-
-    def f(m):
-        return psi(model, m, rule=rule)
-
-    roots = find_roots(f, scan_range, n_scan=n_scan, tol=1e-10)
-    ms = np.linspace(scan_range[0], scan_range[1], min(n_scan, 401))
-    curve = np.column_stack([ms, [f(m) for m in ms]])
-
-    s0 = []
-    folds = []
-    h = 1e-5 * max(1.0, abs(scan_range[1] - scan_range[0]))
-    for r in roots:
-        gibbs = build_gibbs(model, r, rule=rule)
-        s0.append(_raw_indicator(model, gibbs))
-        dpsi = (f(r + h) - f(r - h)) / (2 * h)
-        folds.append(abs(dpsi) < 1e-6)
-    return SelfConsistencyReport(roots=roots, psi_at_scan=curve,
-                                 s0_per_root=s0, fold_flags=folds)
+    roots = find_roots(lambda m: psi(model, m, rule=rule), scan_range,
+                       n_scan=n_scan, tol=1e-10)
+    s0 = [_raw_indicator(model, build_gibbs(model, r, rule=rule))
+          for r in roots]
+    return SelfConsistencyReport(roots=roots, s0_per_root=s0,
+                                 scan_range=scan_range, rule=rule)
 
 
 def critical_sigma(model: ScalarMeanFieldModel,
@@ -264,10 +259,12 @@ def critical_sigma(model: ScalarMeanFieldModel,
 
     Finds the first root of sigma -> S0(sigma) - 1 at m = 0 with
     ``find_roots`` (41 scan points, bisection to 1e-10), using the raw
-    covariance indicator at m = 0 (a genuine root only for symmetric
-    models).  Returns None when the indicator does not cross 1 in the
-    range.
+    covariance indicator at m = 0.  Returns None when the indicator does
+    not cross 1 in the range, and without a scan for a model that is not
+    symmetric (m = 0 is no branch) or has beta = 0 (S0 = 0 for all sigma).
     """
+    if not model.symmetric or model.beta == 0.0:
+        return None
     grid_spec = grid_spec or GridSpec()
 
     def s0(sig):

@@ -232,6 +232,18 @@ class TestStationaryCommand:
         assert rep["roots"][0] == pytest.approx(0.0, abs=1e-9)
         assert rep["sigma_c"] is None
 
+    @pytest.mark.parametrize("factor, roots, folds", [
+        (1.0, [0.0], [True]), (0.8, [-0.719, 0.0, 0.719], [False] * 3)])
+    def test_fold_flagged_only_at_critical_noise(self, tmp_path, factor,
+                                                 roots, folds):
+        # at sigma_c the three branches merge into one root at 0 where
+        # psi' = S0 - 1 vanishes; below it every root is transversal
+        cfg = write_cfg(tmp_path, sigma=factor * SIGMA_C_DAWSON_BETA1)
+        assert run("stationary", cfg) == 0
+        rep = report(tmp_path, "stationary.json")
+        assert rep["roots"] == pytest.approx(roots, abs=1e-3)
+        assert rep["fold_flags"] == folds
+
     def test_rescaled_psi_curve_matches_dawson(self, tmp_path):
         c1 = write_cfg(tmp_path, name="dawson", sigma=0.7,
                        out=str(tmp_path / "out_d"))
@@ -337,6 +349,19 @@ class TestInstabilityCommand:
         assert rep["status"] == "no-unstable-mode"
         assert "no unstable mode" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["fp", "particles"])
+    def test_negative_seed_rejected_before_analysis(self, tmp_path, capsys,
+                                                    monkeypatch, engine):
+        searches = []
+        monkeypatch.setattr(cli, "self_consistent_roots",
+                            lambda *a, **kw: searches.append(a))
+        cfg = write_cfg(tmp_path, engine=engine, t_end=0.5)
+        assert run("instability", cfg, "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert "error: --seed: must be a nonnegative integer" in err
+        assert searches == []
+        assert not (tmp_path / "out" / "instability.json").exists()
+
     def test_particles_engine_runs_and_seed_changes_series(self, tmp_path):
         cfg = write_cfg(tmp_path, engine="particles", n_particles=2000,
                         dt="auto", t_end=1.0, delta=1e-2)
@@ -395,6 +420,7 @@ class TestSweepCommand:
                              names=True)
         assert np.all(rows["branch_count"] == 1)
         assert np.abs(rows["m_zero"]).max() < 1e-9
+        assert report(tmp_path, "sweep.json")["sigma_c"] is None
 
     def test_thread_variable_not_read(self, tmp_path, monkeypatch):
         # the sweep runs its points in order on one thread and reads no
