@@ -261,7 +261,7 @@ def critical_sigma(model: ScalarMeanFieldModel,
     ``find_roots`` (41 scan points, bisection to 1e-10), using the raw
     covariance indicator at m = 0.  Returns None when the indicator does
     not cross 1 in the range, and without a scan for a model that is not
-    symmetric (m = 0 is no branch) or has beta = 0 (S0 = 0 for all sigma).
+    symmetric (m = 0 need not be a branch) or has beta = 0 (S0 = 0).
     """
     if not model.symmetric or model.beta == 0.0:
         return None

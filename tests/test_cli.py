@@ -233,7 +233,8 @@ class TestStationaryCommand:
         assert rep["sigma_c"] is None
 
     @pytest.mark.parametrize("factor, roots, folds", [
-        (1.0, [0.0], [True]), (0.8, [-0.719, 0.0, 0.719], [False] * 3)])
+        (1.0, [0.0], [True]), (0.8, [-0.719, 0.0, 0.719], [False] * 3)],
+        ids=["at_sigma_c", "below_sigma_c"])
     def test_fold_flagged_only_at_critical_noise(self, tmp_path, factor,
                                                  roots, folds):
         # at sigma_c the three branches merge into one root at 0 where
