@@ -332,7 +332,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
         blocks.append({
             "m_root": float(m_root),
             "lambda_i": [float(v) for v in spectrum.values[:13]],
-            "S0": float(secular_function(spectrum, coupling, 0.0)),
+            "S0": float(svals[0]),      # S at lams[0] = 0
             "lambda_star": None if mode.lambda_star is None
             else float(mode.lambda_star),
             "lambda0": {"re": float(mode.lambda0.real),
@@ -429,11 +429,10 @@ def _sweep_point(model, sigma, cfg):
     m0 = min(rep.roots, key=abs)
     i0 = rep.roots.index(m0)
     s0 = rep.s0_per_root[i0]
-    lam = None
     try:
         lam = _analyze(mdl, m0, cfg).mode.lambda_star
-    except ValueError:
-        pass
+    except ValueError as exc:
+        raise ValueError(f"sweep point sigma={sigma:g}: {exc}") from None
     m_plus = max(rep.roots)
     m_minus = min(rep.roots)
     return {

@@ -46,16 +46,13 @@ class ScalarMeanFieldModel:
         x = np.asarray(x, dtype=float)
         return self.a(x) + self.beta * self.c(x) * m
 
-    def with_params(self, beta: float | None = None,
-                    sigma: float | None = None) -> "ScalarMeanFieldModel":
-        """Rebuild the same builtin family with new parameters."""
+    def with_params(self, sigma: float) -> "ScalarMeanFieldModel":
+        """Rebuild the same builtin family at a new noise level."""
         if self.name not in BUILTIN_MODELS:
             raise ValueError(
                 f"model {self.name!r} is not a registered builtin; "
                 "rebuild it explicitly instead")
-        return build_model(self.name,
-                           beta=self.beta if beta is None else beta,
-                           sigma=self.sigma if sigma is None else sigma)
+        return build_model(self.name, beta=self.beta, sigma=sigma)
 
 
 def _u0(x):

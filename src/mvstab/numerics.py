@@ -9,7 +9,7 @@ concurrently.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -159,7 +159,7 @@ class DenseSpectrum:
 
     values: np.ndarray
     left_vectors: np.ndarray
-    abscissa: float = field(default=0.0)
+    abscissa: float
 
 
 def dense_spectrum(M: np.ndarray) -> DenseSpectrum:

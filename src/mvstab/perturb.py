@@ -14,6 +14,10 @@ is a probability measure with density ratio inside (0, 2).  The clamp
 level controls the L2 truncation error gamma = ||g_M - (h - mu(h))||;
 the default level of eight L2 norms keeps gamma below one percent for
 the directions arising here.
+
+mu_delta is a ``GridMeasure`` on the rule of mu, as mu itself is: it
+shares mu's checked ``moment``, and its CDF is computed when read, once
+per call of the inverse-CDF sampler.
 """
 from __future__ import annotations
 
@@ -23,18 +27,19 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .spectrum import BranchAnalysis, SpectralBasis
-from .stationary import GibbsMeasure, node_cdf
+from .stationary import GibbsMeasure, GridMeasure
 
 
 def truncate_center(gibbs: GibbsMeasure, h, M: float):
     """Clamp a direction at +-M and recenter it under the measure.
 
-    Returns the centered truncated direction on the quadrature nodes and
-    the achieved L2(mu) distance gamma to the centered original.
+    ``h`` holds the direction's values at the quadrature nodes.  Returns
+    the centered truncated direction there and the achieved L2(mu)
+    distance gamma to the centered original.
     """
     if M <= 0:
         raise ValueError("truncation level M must be positive")
-    hv = h(gibbs.rule.nodes) if callable(h) else np.asarray(h, dtype=float)
+    hv = np.asarray(h, dtype=float)
     if hv.shape != gibbs.rule.nodes.shape:
         raise ValueError("direction values do not match the quadrature grid")
     clipped = np.clip(hv, -M, M)
@@ -45,30 +50,20 @@ def truncate_center(gibbs: GibbsMeasure, h, M: float):
 
 
 def default_truncation_level(gibbs: GibbsMeasure, h) -> float:
-    """Clamp level of eight L2(mu) norms of the direction."""
-    hv = h(gibbs.rule.nodes) if callable(h) else np.asarray(h, dtype=float)
+    """Clamp level of eight L2(mu) norms of the direction's node values."""
+    hv = np.asarray(h, dtype=float)
     return 8.0 * float(np.sqrt(gibbs.moment(hv * hv)))
 
 
 @dataclass(frozen=True)
-class PerturbedMeasure:
-    """The reweighted law (1 + delta g_M) mu on the quadrature grid.
+class PerturbedMeasure(GridMeasure):
+    """The reweighted law (1 + delta g_M) mu on the base law's rule.
 
-    ``cdf`` is the mass to the left of each node, as for the base law.
+    ``ratio`` is the density ratio 1 + delta g_M at the nodes; ``moment``
+    and the ``cdf`` computed on read are those of every ``GridMeasure``.
     """
 
-    base: GibbsMeasure
     ratio: np.ndarray
-    density: np.ndarray
-    cdf: np.ndarray
-
-    @property
-    def rule(self):
-        return self.base.rule
-
-    def moment(self, f) -> float:
-        vals = f(self.rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-        return float(np.dot(self.rule.weights * self.density, vals))
 
 
 def perturbed_measure(gibbs: GibbsMeasure, g_M, delta: float) -> PerturbedMeasure:
@@ -89,10 +84,8 @@ def perturbed_measure(gibbs: GibbsMeasure, g_M, delta: float) -> PerturbedMeasur
                 f"amplitude delta={delta:g} is not below Delta_0="
                 f"1/max|g_M|={delta0:g}")
     ratio = 1.0 + delta * g_M
-    density = ratio * gibbs.density
-    return PerturbedMeasure(base=gibbs, ratio=ratio,
-                            density=density,
-                            cdf=node_cdf(gibbs.rule, density))
+    return PerturbedMeasure(rule=gibbs.rule, density=ratio * gibbs.density,
+                            ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -166,11 +159,11 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
     return spec, perturbed_measure(gibbs, g_M, delta)
 
 
-def quantile_function(measure):
+def quantile_function(measure: GridMeasure):
     """Inverse CDF of a tabulated measure, as a vectorized callable.
 
-    Works for any measure exposing ``rule`` and ``cdf`` (the mass to the
-    left of each node); the inverse is a monotone cubic interpolant
+    Works for any ``GridMeasure``, whose ``cdf`` is the mass to the left
+    of each node; the inverse is a monotone cubic interpolant
     through the strictly increasing CDF knots, and probabilities outside
     the tabulated range map to the outermost knots.
     """
@@ -184,7 +177,7 @@ def quantile_function(measure):
     return lambda u: np.asarray(inv(np.clip(u, lo, hi)), dtype=float)
 
 
-def sample_measure(measure, n: int, seed: int) -> np.ndarray:
+def sample_measure(measure: GridMeasure, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF sampling on the tabulated grid.
 
     Pushes uniform variates through ``quantile_function(measure)``.  The

@@ -14,6 +14,8 @@ a rank-one update.  Its eigenvalues solve the scalar secular equation
 S(lambda) = 1; a positive root lambda_star is the instability rate and
 the associated mode f_star has coefficients beta*phi_j/(lambda_j +
 lambda_star).
+The Gibbs law enters once, through ``build_basis``; the energy matrix
+and the coupling read it from the basis its polynomials belong to.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ class SpectralBasis:
                                      - sqrt(beta_sq[k]) p_{k-1},
 
     ``node_values``/``node_derivs`` hold p_k and p_k' at the quadrature
-    nodes (rows indexed by degree).  Construction reorthogonalizes each
+    nodes (rows indexed by degree), and ``gibbs`` is the law they are
+    orthonormal under.  Construction reorthogonalizes each
     new vector in the discrete inner product, so the Gram matrix is the
     identity to near machine precision even at high degree.
     """
@@ -121,8 +124,9 @@ def build_basis(gibbs: GibbsMeasure, n: int) -> SpectralBasis:
                          node_values=P, node_derivs=dP)
 
 
-def dirichlet_matrix(gibbs: GibbsMeasure, basis: SpectralBasis) -> np.ndarray:
-    """Energy-form matrix K_ij = (sigma^2/2) mu(p_i' p_j'), symmetric PSD."""
+def dirichlet_matrix(basis: SpectralBasis) -> np.ndarray:
+    """Energy matrix K_ij = (sigma^2/2) mu(p_i' p_j'), mu = basis.gibbs."""
+    gibbs = basis.gibbs
     mu = gibbs.rule.weights * gibbs.density
     sig2 = gibbs.model.sigma ** 2
     K = 0.5 * sig2 * ((basis.node_derivs * mu) @ basis.node_derivs.T)
@@ -176,9 +180,11 @@ class RankOneCoupling:
     beta: float
 
 
-def coupling_vectors(gibbs: GibbsMeasure, basis: SpectralBasis,
+def coupling_vectors(basis: SpectralBasis,
                      spectrum: EigenSystem) -> RankOneCoupling:
-    """Project the coupling functions on the eigenbasis of -L."""
+    """Project the coupling functions on the eigenbasis of -L, under the
+    law mu = basis.gibbs."""
+    gibbs = basis.gibbs
     model = gibbs.model
     x = gibbs.rule.nodes
     mu = gibbs.rule.weights * gibbs.density
@@ -312,13 +318,17 @@ def unstable_mode(spectrum: EigenSystem,
 class BranchAnalysis:
     """The spectral chain of one stationary branch, from its Gibbs law
     through the Galerkin basis and spectrum of -L to the rank-one
-    coupling and the unstable mode."""
+    coupling and the unstable mode.  The law is stored once, in the
+    basis; ``gibbs`` reads it from there."""
 
-    gibbs: GibbsMeasure
     basis: SpectralBasis
     spectrum: EigenSystem
     coupling: RankOneCoupling
     mode: UnstableMode
+
+    @property
+    def gibbs(self) -> GibbsMeasure:
+        return self.basis.gibbs
 
     def fstar_at(self, x) -> np.ndarray:
         """The unstable observable f_star at arbitrary points."""
@@ -329,10 +339,9 @@ class BranchAnalysis:
 def analyze_branch(gibbs: GibbsMeasure, degree: int) -> BranchAnalysis:
     """Run the spectral chain on the branch whose Gibbs law is given."""
     basis = build_basis(gibbs, degree)
-    spectrum = base_spectrum(dirichlet_matrix(gibbs, basis))
-    coupling = coupling_vectors(gibbs, basis, spectrum)
-    return BranchAnalysis(gibbs=gibbs, basis=basis, spectrum=spectrum,
-                          coupling=coupling,
+    spectrum = base_spectrum(dirichlet_matrix(basis))
+    coupling = coupling_vectors(basis, spectrum)
+    return BranchAnalysis(basis=basis, spectrum=spectrum, coupling=coupling,
                           mode=unstable_mode(spectrum, coupling))
 
 

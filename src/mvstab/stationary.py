@@ -8,6 +8,9 @@ builds mu_m on a quadrature grid, locates all branches, evaluates the
 covariance stability indicator S0 per branch, and finds the critical
 noise level where the symmetric branch changes character.
 
+A law on the grid is a ``GridMeasure`` (rule and density, one checked
+``moment``, a ``cdf`` computed on read); ``GibbsMeasure`` adds model, m.
+
 Differentiating the Gibbs family in m gives psi'(m) = S0(m) - 1 for
 every model that satisfies its gradient identity, so S0 grades a branch
 and also flags a fold (|S0 - 1| < 1e-6) without differentiating psi.
@@ -89,18 +92,12 @@ def make_rule(model: ScalarMeanFieldModel, spec: GridSpec,
 
 
 @dataclass(frozen=True)
-class GibbsMeasure:
-    """Normalized Gibbs law of the frozen-coupling SDE on a grid.
+class GridMeasure:
+    """A probability law as its normalized density at the nodes of a
+    quadrature rule; no CDF is stored, ``cdf`` computes it on read."""
 
-    ``density`` holds the normalized density at the quadrature nodes and
-    ``cdf`` the mass to the left of each node (see ``node_cdf``).
-    """
-
-    model: ScalarMeanFieldModel
-    m: float
     rule: QuadratureRule
     density: np.ndarray
-    cdf: np.ndarray
 
     def moment(self, f) -> float:
         """Quadrature integral of f against the measure."""
@@ -111,17 +108,21 @@ class GibbsMeasure:
                 f"observable is not finite at node x={self.rule.nodes[i]!r}")
         return float(np.dot(self.rule.weights * self.density, vals))
 
+    @property
+    def cdf(self) -> np.ndarray:
+        """Mass to the left of each node: the running sum of w rho less
+        half of the node's own cell mass w_i rho_i, which the sum counts
+        whole (error of second order in the local node spacing)."""
+        mass = self.rule.weights * self.density
+        return np.cumsum(mass) - 0.5 * mass
 
-def node_cdf(rule: QuadratureRule, density) -> np.ndarray:
-    """Mass to the left of each quadrature node.
 
-    A node carries the mass w_i rho_i of the cell around it, so the
-    running sum of w rho overshoots the integral up to x_i by about half
-    of that cell; subtracting the half-cell gives the CDF at the node
-    itself, with an error of second order in the local node spacing.
-    """
-    mass = rule.weights * density
-    return np.cumsum(mass) - 0.5 * mass
+@dataclass(frozen=True)
+class GibbsMeasure(GridMeasure):
+    """Normalized Gibbs law mu_m of the frozen-coupling SDE on a grid."""
+
+    model: ScalarMeanFieldModel
+    m: float
 
 
 def build_gibbs(model: ScalarMeanFieldModel, m: float,
@@ -156,8 +157,7 @@ def build_gibbs(model: ScalarMeanFieldModel, m: float,
                 f"estimated tail mass {tail:.2e} at x={x[side]:.3g} exceeds "
                 f"1e-10; enlarge the truncation half-width")
 
-    return GibbsMeasure(model=model, m=float(m), rule=rule,
-                        density=density, cdf=node_cdf(rule, density))
+    return GibbsMeasure(rule=rule, density=density, model=model, m=float(m))
 
 
 def psi(model: ScalarMeanFieldModel, m: float,
@@ -177,16 +177,14 @@ def _raw_indicator(model: ScalarMeanFieldModel, gibbs: GibbsMeasure) -> float:
     return (2.0 * model.beta / model.sigma ** 2) * (vg - v * g)
 
 
-def stability_indicator(model: ScalarMeanFieldModel, m_root: float,
-                        grid_spec: GridSpec | None = None,
-                        rule: QuadratureRule | None = None) -> float:
+def stability_indicator(model: ScalarMeanFieldModel, m_root: float) -> float:
     """Branch indicator S0 = (2 beta / sigma^2) Cov_mu(v, g) at a root.
 
     S0 > 1 signals a positive root of the secular equation, hence an
     unstable branch; S0 equals 1 + psi'(m_root) for the builtin models.
     A root off by more than 1e-8 in psi is rejected.
     """
-    gibbs = build_gibbs(model, m_root, grid_spec=grid_spec, rule=rule)
+    gibbs = build_gibbs(model, m_root)
     resid = gibbs.moment(model.g) - float(m_root)
     if abs(resid) > 1e-8:
         raise ValueError(

@@ -82,7 +82,7 @@ def test_c01_ou_spectrum_ladder():
     m0 = cosine_psi_roots(model, n_scan=801)[0]
     gibbs = build_gibbs(model, m0, GridSpec(panel_degree=60))
     basis = build_basis(gibbs, 40)
-    spec = base_spectrum(dirichlet_matrix(gibbs, basis))
+    spec = base_spectrum(dirichlet_matrix(basis))
     dev = np.abs(spec.values[:11] - np.arange(11)).max()
     el = time.perf_counter() - t0
     record(1, "harmonic ladder of the Gaussian generator",

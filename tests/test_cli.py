@@ -423,6 +423,25 @@ class TestSweepCommand:
         assert np.abs(rows["m_zero"]).max() < 1e-9
         assert report(tmp_path, "sweep.json")["sigma_c"] is None
 
+    def test_failed_analysis_names_its_sigma(self, tmp_path, monkeypatch,
+                                             capsys):
+        # a branch analysis that fails at one noise level stops the sweep
+        # instead of turning that row's lambda_star into NaN
+        analyze, seen = cli._analyze, []
+
+        def failing_third_point(model, m_root, cfg):
+            seen.append(model.sigma)
+            if len(seen) == 3:
+                raise ValueError("inconsistent discretization")
+            return analyze(model, m_root, cfg)
+
+        monkeypatch.setattr(cli, "_analyze", failing_third_point)
+        assert run("sweep", write_cfg(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"sigma={seen[-1]:g}" in err
+        assert "inconsistent discretization" in err
+        assert not (tmp_path / "out" / "sweep.json").exists()
+
     def test_thread_variable_not_read(self, tmp_path, monkeypatch):
         # the sweep runs its points in order on one thread and reads no
         # environment variable

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -113,6 +115,15 @@ class TestPerturbedMeasure:
         mu_d = perturbed_measure(g, x - mu0, delta)
         ref = norm.cdf(x, mu0, s) - delta * s ** 2 * norm.pdf(x, mu0, s)
         assert np.abs(mu_d.cdf - ref).max() < 1e-4
+
+    def test_nonfinite_observable_names_node(self, setup):
+        # the perturbed law shares the base law's checked moment
+        _, _, mu_d = setup
+        vals = np.zeros(mu_d.rule.n_nodes)
+        vals[3] = -np.inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"not finite at node x={mu_d.rule.nodes[3]!r}")):
+            mu_d.moment(vals)
 
     def test_amplitude_bound_cites_delta0(self, dawson_sub):
         g = dawson_sub.gibbs

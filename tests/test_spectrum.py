@@ -70,12 +70,12 @@ class TestBuildBasis:
 
 class TestDirichletMatrix:
     def test_row_zero_vanishes(self, dawson_sub):
-        K = dirichlet_matrix(dawson_sub.gibbs, dawson_sub.basis)
+        K = dirichlet_matrix(dawson_sub.basis)
         assert np.all(K[0] == 0.0)
         assert np.all(K[:, 0] == 0.0)
 
     def test_symmetric_psd(self, dawson_sub):
-        K = dirichlet_matrix(dawson_sub.gibbs, dawson_sub.basis)
+        K = dirichlet_matrix(dawson_sub.basis)
         assert np.abs(K - K.T).max() == 0.0
         assert np.linalg.eigvalsh(K).min() > -1e-10
 
@@ -84,8 +84,7 @@ class TestDirichletMatrix:
         # Gaussian is diagonal with entries 0, 1, 2, ...  The domain
         # truncation (tail mass ~1e-14) pollutes degrees near the top of
         # the basis, so the comparison covers the converged lower half.
-        K = dirichlet_matrix(cosine_unstable.gibbs,
-                             cosine_unstable.basis)[:21, :21]
+        K = dirichlet_matrix(cosine_unstable.basis)[:21, :21]
         assert np.abs(np.diag(K) - np.arange(21)).max() < 1e-8
         off = K - np.diag(np.diag(K))
         assert np.abs(off).max() < 1e-8
@@ -141,9 +140,9 @@ class TestCouplingVectors:
         mdl = dawson_model(1.0, 0.6)
         g = build_gibbs(mdl, 0.4)
         b = build_basis(g, 30)
-        spec = base_spectrum(dirichlet_matrix(g, b))
+        spec = base_spectrum(dirichlet_matrix(b))
         with pytest.raises(ValueError, match="not centered"):
-            coupling_vectors(g, b, spec)
+            coupling_vectors(b, spec)
 
 
 class TestSecular:
