@@ -410,8 +410,9 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
         "w1_final": float(w1[-1]),
         "w1_at_escape": res.w1_at_escape,
     }
-    if cfg.engine == "fp":
-        report.update(dt=res.dt, steps=res.steps, step_error=res.step_error)
+    report.update(dt=res.dt, steps=res.steps)
+    if res.step_error is not None:
+        report["step_error"] = res.step_error
     files.append(write_report(cfg.directory, "instability.json", report))
     write_manifest(cfg.directory, "instability", files)
     if res.status == "inconclusive":

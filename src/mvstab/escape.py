@@ -11,7 +11,7 @@ from .fokkerplanck import (auto_grid, default_dt, discrete_stationary,
                            fp_evolve, state_from_density)
 from .metrics import TimeSeries, empirical_cdf, w1_density
 from .numerics import fit_exp_rate
-from .particles import evolve, make_ensemble
+from .particles import evolve, make_ensemble, relaxation_dt_bound
 from .perturb import make_perturbation, sample_measure
 from .spectrum import BranchAnalysis
 
@@ -25,9 +25,10 @@ class EscapeResult:
     branch) per record.  ``m_center`` is the engine's own branch
     statistic: the discrete steady state for "fp", the root itself for
     "particles".  The rate fields are None when ``status`` is
-    "inconclusive".  ``dt``, ``steps`` and ``step_error`` (the largest
-    local error estimate of ``FpStepper.step`` over the run) describe
-    the "fp" run and are None for "particles".
+    "inconclusive".  ``dt`` and ``steps`` describe the run on either
+    engine; ``step_error`` (the largest local error estimate of
+    ``FpStepper.step`` over the run) is the "fp" engine's own and is
+    None for "particles".
     """
 
     status: str
@@ -39,9 +40,9 @@ class EscapeResult:
     final_branch: float
     fitted_rate: float | None
     relative_error: float | None
-    dt: float | None = None
-    steps: int | None = None
-    step_error: float | None = None
+    dt: float
+    steps: int
+    step_error: float | None
 
 
 def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
@@ -94,6 +95,7 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                "w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
         xs = sample_measure(mu_delta, n_particles, seed=seed)
+        dt = relaxation_dt_bound(model) if dt is None else dt
         run = partial(evolve, make_ensemble(xs, model, seed=seed), model)
     else:
         raise ValueError(f"engine must be fp or particles, got {engine!r}")
@@ -120,10 +122,8 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                                              float(times[window][-1])))
         lam = branch.mode.lambda_star
         rel_err = abs(fitted - lam) / lam
-    fp_step = {}
-    if engine == "fp":
-        fp_step = dict(dt=dt, steps=int(round(times[-1] / dt)),
-                       step_error=float(series["step_error"][-1]))
+    step_error = (float(series["step_error"][-1]) if engine == "fp"
+                  else None)
     return EscapeResult(
         status="inconclusive" if fitted is None else "ok",
         m_center=float(m_center), initial_pairing=float(c0),
@@ -132,4 +132,5 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         escape_time=float(times[escape][0]) if escape.any() else None,
         w1_at_escape=float(w1[escape][0]) if escape.any() else None,
         final_branch=final_branch, fitted_rate=fitted,
-        relative_error=rel_err, **fp_step)
+        relative_error=rel_err, dt=dt, steps=int(round(times[-1] / dt)),
+        step_error=step_error)

@@ -220,7 +220,7 @@ def test_c07_particle_escape(dawson08):
     #   probability ~7%.
     # - Ratio clause.  W1 at t = 0 is the empirical floor of N samples,
     #   ~2.3e-3, while at the first record outside the band |m| > 1e-2
-    #   W1 is itself ~1e-2, so the ratio is ~4 (3.6-7.6 over the seeds)
+    #   W1 is itself ~1e-2, so the ratio is ~4 (3.6-7.4 over the seeds)
     #   rather than > 10.
     # The mean-field engine confirms the predicted escape in criterion 6.
     t0 = time.perf_counter()
@@ -242,8 +242,9 @@ def test_c07_particle_escape(dawson08):
         w1_0 = w1_density(nodes, empirical_cdf(xs, nodes), ref_cdf)
         obs = {"w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
+        # stride counts steps of the default dt: records 9.3e-3 apart
         ts = evolve(make_ensemble(xs, model, seed=seed), model, t_end=40.0,
-                    observers=obs, stride=25,
+                    observers=obs, stride=1,
                     stop_condition=lambda t, m: abs(m) > 3 * band)
         m = ts["m"]
         out = np.abs(m) > band
@@ -320,8 +321,9 @@ def test_c09_engine_agreement(dawson08):
 
     def run(seed):
         xs = sample_measure(gibbs0, n, seed=seed)
+        # stride counts steps of the default dt: records 2.8e-2 apart
         return evolve(make_ensemble(xs, model, seed=seed), model, t_end=5.0,
-                      stride=50)
+                      stride=3)
 
     # numpy releases the GIL in the particle step, so two threads halve
     # the wall time; runs are keyed by seed and do not depend on order

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 
 from mvstab import cli
 from mvstab.cli import CONFIG_KEYS, load_config, main
+from mvstab.model import dawson_model
+from mvstab.particles import relaxation_dt_bound
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -366,11 +369,18 @@ class TestInstabilityCommand:
     def test_particles_engine_runs_and_seed_changes_series(self, tmp_path):
         cfg = write_cfg(tmp_path, engine="particles", n_particles=2000,
                         dt="auto", t_end=1.0, delta=1e-2)
+        guard = relaxation_dt_bound(
+            dawson_model(beta=1.0, sigma=0.8 * SIGMA_C_DAWSON_BETA1))
         series = []
         for seed in ("3", "4"):
             code = run("instability", cfg, "--seed", seed)
-            status = report(tmp_path, "instability.json")["status"]
-            assert (code, status) in ((0, "ok"), (2, "inconclusive"))
+            rep = report(tmp_path, "instability.json")
+            assert (code, rep["status"]) in ((0, "ok"), (2, "inconclusive"))
+            # |m| cannot reach the stop level 0.3 by t = 1, so the run
+            # takes every step to t_end
+            assert rep["dt"] == guard
+            assert rep["steps"] == math.ceil(1.0 / guard)
+            assert "step_error" not in rep
             series.append((tmp_path / "out" / "series.csv").read_bytes())
         assert series[0] != series[1]
 
