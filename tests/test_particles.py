@@ -227,9 +227,10 @@ class TestAgainstMeanFieldOracle:
         xs = sample_measure(mu_d, n, seed=2)
         band = 10 * delta
         # at N = 2e4 noise dominates the unstable mode's amplitude A
-        # (m_hat(10) has mean 0.04 and sd 0.05 over seeds), and a path
-        # stays in the band until ~log(band / |A|) / lambda_star; a
-        # horizon of 11 / lambda_star leaves ~1e-4 of paths inside
+        # (m_hat(10) has the mean-field value 0.04 and an sd of 0.05
+        # over seeds), and a path stays in the band until about
+        # log(band / |A|) / lambda_star; a horizon of 11 / lambda_star
+        # leaves ~1e-4 of paths inside
         ts = evolve(make_ensemble(xs, mdl, seed=2), mdl, t_end=60.0,
                     stride=50, stop_condition=lambda t, m: abs(m) > 2 * band)
         m = np.abs(ts["m"])
