@@ -107,17 +107,30 @@ def step(ensemble: Ensemble, model: ScalarMeanFieldModel,
 
 
 def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
-    """Default and largest accepted step: 0.16 / max|a'| on the
-    stationary support.
+    """Default and largest accepted step: 0.16 / K on the stationary
+    support, where
 
-    The bound comes from the measured weak error of ``apply_step``.  On
-    dawson at beta = 1, sigma = 0.8 sigma_c, started from the Gibbs law
-    at m = 0.5 (N = 2e4, 4 seeds, every step size driven by one
-    Brownian path, reference ``apply_step`` at 0.005 / max|a'|), the
-    largest |mean m_hat - reference| over t in [0, 5] is 4.2e-5 at this
-    step and 1.8e-4 at twice it, against 2.5e-4 for Euler-Maruyama at
-    0.01 / max|a'|.  max|a'| dt = 0.16 also keeps the stiffest linear
-    mode far inside the step's stability interval [-2, 0].
+        K = max|a'| + |beta| (max|c'| max|g| + max|c| max|g'|)
+
+    bounds the row sums of the Jacobian of the N-particle drift
+    a(x_i) + beta c(x_i) mean_j g(x_j).  K dt = 0.16 keeps every linear
+    mode, the mean-field feedback included, far inside the step's
+    stability interval [-2, 0].
+
+    The factor comes from the measured weak error of ``apply_step``.
+    Started from the Gibbs law at m = 0.5 (N = 2e4, 4 seeds, both step
+    sizes of a pair driven by one Brownian path), the largest
+    |mean m_hat| gap over t in [0, 5] between this step and a sixteenth
+    of it, against Euler-Maruyama at the former guard 0.01 / max|a'|
+    and ``apply_step`` at half that, reads
+
+        dawson, beta = 1, sigma = 0.8 sigma_c                3.7e-5 vs 2.5e-4
+        cosine, beta = 1                                     6.8e-4 vs 1.1e-3
+        cosine, beta = 12.8                                  5.8e-5 vs 1.1e-3
+        rescaled_double_well, beta = 1, sigma = 0.8 sigma_c  1.7e-5 vs 4.6e-4
+
+    Without the feedback term in K the step was 0.16 on cosine, and its
+    gap 2.5e-3 at beta = 1 and 8e-3 at beta = 12.8.
 
     The support half-width comes from the Gibbs log-density decay
     (pointwise ~1e-12) on |x| <= 64; a log-density that is not finite
@@ -134,9 +147,14 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
             "the relaxation guard needs it on |x| <= 64")
     L = float(np.abs(scan[lg >= lg.max() - 28.0]).max())
     xs = np.linspace(-L, L, 2001)
-    a = model.a(xs)
-    da = np.abs(np.diff(a) / np.diff(xs)).max()
-    return 0.16 / max(da, 1e-12)
+
+    def slope(f):
+        return float(np.abs(np.diff(f(xs)) / np.diff(xs)).max())
+
+    k = slope(model.a) + abs(model.beta) * (
+        slope(model.c) * float(np.abs(model.g(xs)).max())
+        + float(np.abs(model.c(xs)).max()) * slope(model.g))
+    return 0.16 / max(k, 1e-12)
 
 
 def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,

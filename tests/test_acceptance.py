@@ -242,7 +242,7 @@ def test_c07_particle_escape(dawson08):
         w1_0 = w1_density(nodes, empirical_cdf(xs, nodes), ref_cdf)
         obs = {"w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
                                           ref_cdf)}
-        # stride counts steps of the default dt: records 9.3e-3 apart
+        # stride counts steps of the default dt: records 8.8e-3 apart
         ts = evolve(make_ensemble(xs, model, seed=seed), model, t_end=40.0,
                     observers=obs, stride=1,
                     stop_condition=lambda t, m: abs(m) > 3 * band)
@@ -321,7 +321,7 @@ def test_c09_engine_agreement(dawson08):
 
     def run(seed):
         xs = sample_measure(gibbs0, n, seed=seed)
-        # stride counts steps of the default dt: records 2.8e-2 apart
+        # stride counts steps of the default dt: records 2.6e-2 apart
         return evolve(make_ensemble(xs, model, seed=seed), model, t_end=5.0,
                       stride=3)
 
