@@ -220,7 +220,7 @@ def test_c07_particle_escape(dawson08):
     #   probability ~7%.
     # - Ratio clause.  W1 at t = 0 is the empirical floor of N samples,
     #   ~2.3e-3, while at the first record outside the band |m| > 1e-2
-    #   W1 is itself ~1e-2, so the ratio is ~4 (3.6-7.4 over the seeds)
+    #   W1 is itself ~1e-2, so the ratio is ~4 (3.5-7.4 over the seeds)
     #   rather than > 10.
     # The mean-field engine confirms the predicted escape in criterion 6.
     t0 = time.perf_counter()
