@@ -352,8 +352,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
 
 
 def cmd_instability(cfg: ExperimentConfig) -> int:
-    # imported here: escape pulls in scipy.interpolate, which no other
-    # command needs
+    # imported here: escape brings in both engines, which no other
+    # command runs
     from .escape import escape_run
 
     model = cfg.build()
@@ -416,7 +416,9 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
     files.append(write_report(cfg.directory, "instability.json", report))
     write_manifest(cfg.directory, "instability", files)
     if res.status == "inconclusive":
-        print("inconclusive: the observable never traversed the fit window")
+        print("inconclusive: the pairing did not grow across the fit "
+              "window [2|c0|, 10|c0|] (fewer than three records in it, or "
+              "a fitted slope <= 0)")
         return 2
     return 0
 

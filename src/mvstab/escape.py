@@ -60,9 +60,9 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
     10 delta and stops beyond ``stop_band_factor`` bands.  The rate is
     fitted while |pairing| crosses [2|c0|, 10|c0|], c0 = delta <g_M,
     f_star> being the predicted initial pairing; fewer than three
-    records there make the run "inconclusive".  ``dt=None`` picks each
-    engine's default step; ``n_cells`` applies to "fp", ``n_particles``
-    and ``seed`` to "particles".
+    records there, or a fitted slope <= 0, make the run "inconclusive".
+    ``dt=None`` picks each engine's default step; ``n_cells`` applies to
+    "fp", ``n_particles`` and ``seed`` to "particles".
     """
     spec, mu_delta = make_perturbation(branch, delta, direction=direction,
                                        M=M, custom_file=custom_file)
@@ -118,10 +118,13 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
     window = (apair >= 2 * abs(c0)) & (apair <= 10 * abs(c0))
     fitted = rel_err = None
     if c0 != 0 and window.sum() >= 3:
-        fitted = fit_exp_rate(times, apair, (float(times[window][0]),
-                                             float(times[window][-1])))
-        lam = branch.mode.lambda_star
-        rel_err = abs(fitted - lam) / lam
+        slope = fit_exp_rate(times, apair, (float(times[window][0]),
+                                            float(times[window][-1])))
+        # a pairing that does not grow across the window has no rate
+        if slope > 0:
+            fitted = slope
+            lam = branch.mode.lambda_star
+            rel_err = abs(fitted - lam) / lam
     step_error = (float(series["step_error"][-1]) if engine == "fp"
                   else None)
     return EscapeResult(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .metrics import TimeSeries, record_run
 from .model import ScalarMeanFieldModel
@@ -117,6 +116,8 @@ class FpStepper:
             raise ValueError("the scheme needs a positive diffusion")
         if grid.n_cells < 2:
             raise ValueError("the scheme needs at least two cells")
+        # imported here so that only an FP run pays scipy's import time
+        from scipy.linalg.lapack import get_lapack_funcs
         self._gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
         self.step_error = 0.0
 

@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -163,19 +162,24 @@ class DenseSpectrum:
 
 
 def dense_spectrum(M: np.ndarray) -> DenseSpectrum:
-    """Complex eigenvalues with left eigenvectors."""
+    """Complex eigenvalues with unit left eigenvectors.
+
+    For real M the left eigenvectors are the conjugated right
+    eigenvectors of M^T: M^T v = lambda v gives conj(v)^H M =
+    lambda conj(v)^H.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     try:
-        vals, vl = scipy.linalg.eig(M, left=True, right=False)
+        vals, vr = np.linalg.eig(M.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"QR iteration did not converge: {exc}") from exc
     order = np.argsort(vals.real, kind="stable")
     vals = vals[order]
-    return DenseSpectrum(values=vals, left_vectors=vl[:, order],
+    return DenseSpectrum(values=vals, left_vectors=np.conj(vr[:, order]),
                          abscissa=float(vals.real.max()))
 
 

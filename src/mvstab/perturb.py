@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .spectrum import BranchAnalysis, SpectralBasis
 from .stationary import GibbsMeasure, GridMeasure
@@ -159,22 +158,63 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
     return spec, perturbed_measure(gibbs, g_M, delta)
 
 
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson slopes of strictly increasing data (x, y).
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants; each end takes the one-sided three-point estimate, set to
+    zero when its sign disagrees with the end secant.  The arithmetic
+    is that of scipy's PchipInterpolator, so the two agree bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+
+    def end(h0, h1, m0, m1):
+        slope = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        return slope if slope > 0 else 0.0
+
+    d[0] = end(h[0], h[1], m[0], m[1])
+    d[-1] = end(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 def quantile_function(measure: GridMeasure):
     """Inverse CDF of a tabulated measure, as a vectorized callable.
 
     Works for any ``GridMeasure``, whose ``cdf`` is the mass to the left
-    of each node; the inverse is a monotone cubic interpolant
-    through the strictly increasing CDF knots, and probabilities outside
-    the tabulated range map to the outermost knots.
+    of each node; the inverse is the monotone (PCHIP) cubic Hermite
+    interpolant through the strictly increasing CDF knots, and
+    probabilities outside the tabulated range map to the outermost
+    knots.
     """
     x = measure.rule.nodes
     cdf = np.asarray(measure.cdf, dtype=float)
     # drop knots below quantile resolution: denormal CDF increments give
     # the monotone interpolant effectively infinite slopes
     keep = np.nonzero(np.diff(cdf, prepend=-1.0) > 1e-15)[0]
-    inv = PchipInterpolator(cdf[keep], x[keep], extrapolate=False)
-    lo, hi = cdf[keep][0], cdf[keep][-1]
-    return lambda u: np.asarray(inv(np.clip(u, lo, hi)), dtype=float)
+    knots, vals = cdf[keep], x[keep]
+    d = _pchip_slopes(knots, vals)
+    h = np.diff(knots)
+    secant = np.diff(vals) / h
+    t = (d[:-1] + d[1:] - 2 * secant) / h
+    # power-basis coefficients on each interval, highest degree first
+    c0, c1, c2, c3 = t / h, (secant - d[:-1]) / h - t, d[:-1], vals[:-1]
+
+    def inv(u):
+        u = np.clip(u, knots[0], knots[-1])
+        # interval i holds knots[i] <= u < knots[i+1]; the last knot
+        # closes the last interval
+        i = np.minimum(np.searchsorted(knots, u, side="right") - 1,
+                       knots.size - 2)
+        s = u - knots[i]
+        s2 = s * s
+        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    return inv
 
 
 def sample_measure(measure: GridMeasure, n: int, seed: int) -> np.ndarray:

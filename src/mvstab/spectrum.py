@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import (DenseSpectrum, EigenSystem, dense_spectrum, find_roots,
                        sym_eig)
@@ -351,8 +350,11 @@ def linearized_propagate(M: np.ndarray, coeffs: np.ndarray,
 
     When M carries the exact zero row and column of the constant mode the
     propagation is done on the complementary block, which preserves that
-    mode exactly.
+    mode exactly.  Only tests call it, so scipy is imported here rather
+    than on the start-up path of every command.
     """
+    import scipy.linalg
+
     M = np.asarray(M, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     if t < 0:

@@ -93,6 +93,23 @@ def report(tmp_path, name):
     return json.loads((tmp_path / "out" / name).read_text())
 
 
+def fresh_main(cfg, *commands):
+    """Run the commands through main in one fresh interpreter.  Returns
+    their exit codes and the jsonschema and scipy modules it loaded."""
+    code = ("import json, sys; from mvstab.cli import main; "
+            "codes = [main([c, '--config', sys.argv[1]]) "
+            "for c in sys.argv[2:]]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('jsonschema', 'scipy'))]))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, cfg, *commands],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 class TestConfig:
     def test_example_config_parses(self):
         cfg = load_config("config.example.ini")
@@ -262,18 +279,13 @@ class TestStationaryCommand:
         assert np.abs(a - b).max() < 1e-8
 
     def test_no_schema_check_at_run_time(self, tmp_path):
-        # run() validates the reports; the program needs numpy and scipy
-        # only, so a fresh interpreter never imports jsonschema
-        code = ("import sys; from mvstab.cli import main; "
-                "status = main(['stationary', '--config', sys.argv[1]]); "
-                "print(status, 'jsonschema' in sys.modules)")
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code, write_cfg(tmp_path)],
-                             env=env, capture_output=True, text=True,
-                             check=True).stdout
-        assert out.split() == ["0", "False"]
+        # run() validates the reports; the program needs numpy at run
+        # time and scipy only for the FP engine's dgtsv and for
+        # linearized_propagate, so a fresh interpreter never imports
+        # jsonschema
+        codes, loaded = fresh_main(write_cfg(tmp_path), "stationary")
+        assert codes == [0]
+        assert "jsonschema" not in loaded
 
     def test_idempotent_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -365,6 +377,31 @@ class TestInstabilityCommand:
         assert "error: --seed: must be a nonnegative integer" in err
         assert searches == []
         assert not (tmp_path / "out" / "instability.json").exists()
+
+    def test_stock_particle_run_without_growth_is_inconclusive(
+            self, tmp_path, capsys):
+        # config.example.ini on the particle engine to t = 5: the
+        # pairing's noise floor is about seven times c0 (ROADMAP item 1),
+        # so it crosses the fit window [2|c0|, 10|c0|] without growing,
+        # and a slope <= 0 there is no escape rate
+        text = re.sub(r"(?m)^engine = fp$", "engine = particles",
+                      Path("config.example.ini").read_text())
+        text = re.sub(r"(?m)^t_end = .*$", "t_end = 5", text)
+        cfg = tmp_path / "stock.ini"
+        cfg.write_text(text)
+        assert run("instability", str(cfg), "--out",
+                   str(tmp_path / "out")) == 2
+        assert "did not grow" in capsys.readouterr().out
+        rep = report(tmp_path, "instability.json")
+        assert rep["status"] == "inconclusive"
+        assert rep["fitted_rate"] is None and rep["relative_error"] is None
+        # the window was crossed: the slope, not the record count,
+        # made the run inconclusive
+        pair = np.abs(np.genfromtxt(tmp_path / "out" / "series.csv",
+                                    delimiter=",", names=True)
+                      ["fstar_pairing"])
+        c0 = abs(rep["initial_pairing"])
+        assert np.count_nonzero((pair >= 2 * c0) & (pair <= 10 * c0)) >= 3
 
     def test_particles_engine_runs_and_seed_changes_series(self, tmp_path):
         cfg = write_cfg(tmp_path, engine="particles", n_particles=2000,
@@ -465,3 +502,23 @@ class TestMainEntry:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestStartUpImports:
+    """scipy costs a fresh process most of its start-up, so only the FP
+    engine's tridiagonal solve imports it."""
+
+    def test_no_scipy_outside_the_fp_engine(self, tmp_path):
+        cfg = write_cfg(tmp_path, engine="particles", n_particles=2000,
+                        dt="auto", t_end=0.5)
+        codes, loaded = fresh_main(cfg, "stationary", "spectrum",
+                                   "instability")
+        assert codes[:2] == [0, 0] and codes[2] in (0, 2)
+        assert loaded == []
+
+    def test_fp_engine_loads_scipy_linalg_only(self, tmp_path):
+        codes, loaded = fresh_main(write_cfg(tmp_path, t_end=0.5),
+                                   "instability")
+        assert codes[0] in (0, 2)
+        assert "scipy.linalg" in loaded
+        assert [m for m in loaded if m.startswith("scipy.interpolate")] == []

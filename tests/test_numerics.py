@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mvstab.numerics import (QuadratureRule, composite_gauss_legendre,
                              dense_spectrum, find_roots, fit_exp_rate,
                              sym_eig)
+from mvstab.spectrum import full_generator_matrix
 
 
 def gaussian_rule(mean=0.0, L=9.0):
@@ -159,6 +161,35 @@ class TestDenseSpectrum:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
             dense_spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("case", ["dawson", "cosine", "random"])
+    def test_matches_scipy_left_eig(self, request, case):
+        # against scipy's left eigensolve, on the mass-zero Galerkin
+        # blocks unstable_mode reads and on random matrices, which carry
+        # complex-conjugate pairs
+        if case == "random":
+            rng = np.random.default_rng(5)
+            mats = [rng.standard_normal((n, n)) for n in (5, 12, 40)]
+        else:
+            br = request.getfixturevalue(
+                "dawson_sub" if case == "dawson" else "cosine_unstable")
+            mats = [full_generator_matrix(br.spectrum, br.coupling)[1:, 1:]]
+        for M in mats:
+            ds = dense_spectrum(M)
+            ref = scipy.linalg.eig(M, left=True, right=False)[0]
+            if case == "random":
+                assert np.any(ref.imag != 0)
+            # each eigenvalue against its nearest counterpart, both ways,
+            # relative to the spectral radius: a backward-stable solver
+            # errs by about eps * |M| on every eigenvalue alike
+            gap = np.abs(ds.values[:, None] - ref[None, :])
+            tol = 1e-12 * np.abs(ref).max()
+            assert gap.min(axis=1).max() <= tol
+            assert gap.min(axis=0).max() <= tol
+            scale = np.linalg.norm(M)
+            for lam, u in zip(ds.values, ds.left_vectors.T):
+                assert np.linalg.norm(u.conj() @ M - lam * u.conj()) \
+                    <= 1e-12 * scale
 
 
 class TestFitExpRate:

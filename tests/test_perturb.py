@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import norm
 
 from mvstab.metrics import w1_density
@@ -200,6 +201,36 @@ class TestSampleMeasure:
         _, _, mu_d = setup
         with pytest.raises(ValueError, match="nonnegative"):
             sample_measure(mu_d, -1, seed=0)
+
+
+class TestQuantileFunctionMatchesPchip:
+    """The numpy monotone cubic is scipy's PchipInterpolator, bit for bit."""
+
+    @staticmethod
+    def pchip_quantile(meas):
+        cdf = meas.cdf
+        keep = np.nonzero(np.diff(cdf, prepend=-1.0) > 1e-15)[0]
+        knots = cdf[keep]
+        inv = PchipInterpolator(knots, meas.rule.nodes[keep],
+                                extrapolate=False)
+        return (lambda u: inv(np.clip(u, knots[0], knots[-1]))), knots
+
+    @pytest.mark.parametrize("law", ["gibbs", "mu_delta"])
+    def test_equal_on_knots_ends_and_between(self, setup, law):
+        s, _, mu_d = setup
+        meas = s.gibbs if law == "gibbs" else mu_d
+        ref, knots = self.pchip_quantile(meas)
+        u = np.concatenate([knots, [knots[0], knots[-1], 0.0, 1.0],
+                            0.5 * (knots[1:] + knots[:-1]),
+                            np.random.default_rng(0).random(10_000)])
+        assert np.array_equal(quantile_function(meas)(u), ref(u))
+
+    def test_samples_equal_pchip_reference(self, setup):
+        _, _, mu_d = setup
+        ref, _ = self.pchip_quantile(mu_d)
+        gen = np.random.Generator(np.random.Philox(key=0))
+        assert np.array_equal(sample_measure(mu_d, 10_000, seed=0),
+                              ref(gen.random(10_000)))
 
 
 class TestDualNormScaling:
