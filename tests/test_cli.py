@@ -381,8 +381,8 @@ class TestInstabilityCommand:
     def test_stock_particle_run_without_growth_is_inconclusive(
             self, tmp_path, capsys):
         # config.example.ini on the particle engine to t = 5: the
-        # pairing's noise floor is about seven times c0 (ROADMAP item 1),
-        # so it crosses the fit window [2|c0|, 10|c0|] without growing,
+        # pairing's noise floor (4.6e-3) is about seven times c0, so the
+        # pairing crosses the fit window [2|c0|, 10|c0|] without growing,
         # and a slope <= 0 there is no escape rate
         text = re.sub(r"(?m)^engine = fp$", "engine = particles",
                       Path("config.example.ini").read_text())
