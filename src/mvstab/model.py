@@ -44,7 +44,7 @@ class ScalarMeanFieldModel:
     def drift(self, x, m: float):
         """Drift b(x, m) = a(x) + beta * c(x) * m."""
         x = np.asarray(x, dtype=float)
-        return self.a(x) + self.beta * self.c(x) * m
+        return self.a(x) + (self.beta * m) * self.c(x)
 
     def with_params(self, sigma: float) -> "ScalarMeanFieldModel":
         """Rebuild the same builtin family at a new noise level."""

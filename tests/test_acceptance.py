@@ -23,7 +23,7 @@ from mvstab.particles import evolve, make_ensemble
 from mvstab.perturb import make_perturbation, sample_measure
 from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              dirichlet_matrix, full_generator_matrix,
-                             linearized_propagate, solve_secular)
+                             linearized_propagate)
 from mvstab.stationary import (GridSpec, build_gibbs, critical_sigma, psi,
                                self_consistent_roots, stability_indicator)
 
@@ -101,7 +101,7 @@ def test_c02_closed_form_growth_rate(cosine_unstable_root):
         pipe = analyze_branch(
             build_gibbs(model, m0, GridSpec(panel_degree=60)), 40)
         closed = -1.0 - np.exp(-0.5) * beta * np.sin(beta * m0)
-        lam = solve_secular(pipe.spectrum, pipe.coupling)
+        lam = pipe.mode.lambda_star
         M = full_generator_matrix(pipe.spectrum, pipe.coupling)
         absc = dense_spectrum(M).abscissa
         worst_sec = max(worst_sec, abs(lam - closed))
@@ -141,7 +141,7 @@ def test_c04_dawson_phase_structure():
     ok = ok and abs(rep.roots[0] + rep.roots[2]) < 1e-9
     ok = ok and rep.s0_per_root[1] > 1.0
     pipe = analyze_branch(build_gibbs(sub, 0.0), 120)
-    lam_sub = solve_secular(pipe.spectrum, pipe.coupling)
+    lam_sub = pipe.mode.lambda_star
     ok = ok and lam_sub is not None and lam_sub > 0
 
     sup = model.with_params(sigma=1.2 * sigma_c)
@@ -149,7 +149,7 @@ def test_c04_dawson_phase_structure():
     ok = ok and rep_sup.branch_count == 1
     ok = ok and stability_indicator(sup, 0.0) < 1.0
     pipe_sup = analyze_branch(build_gibbs(sup, 0.0), 120)
-    lam_sup = solve_secular(pipe_sup.spectrum, pipe_sup.coupling)
+    lam_sup = pipe_sup.mode.lambda_star
     ok = ok and lam_sup is None
     el = time.perf_counter() - t0
     record(4, "phase structure of the double-well family",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,22 +23,42 @@ def hermite_normalized(k, z):
     return np.polynomial.hermite_e.hermeval(z, c) / math.sqrt(math.factorial(k))
 
 
+def cosine_basis(cosine_unstable, degree):
+    """The cosine branch's basis at the fixture's degree 40, or at the
+    production degree 120 on its GridSpec(panel_degree=124) grid."""
+    if degree == cosine_unstable.basis.degree:
+        return cosine_unstable.basis
+    g = cosine_unstable.gibbs
+    return build_basis(build_gibbs(g.model, g.m, GridSpec(panel_degree=124)),
+                       degree)
+
+
+@pytest.fixture(scope="module")
+def rescaled_sub():
+    """rescaled_double_well below the critical noise, at the symmetric
+    root; its coupling u0 ~ x^(1/3) is not a polynomial."""
+    mdl = rescaled_double_well_model(1.0, 0.8 * SIGMA_C_DAWSON_BETA1)
+    return analyze_branch(build_gibbs(mdl, 0.0), 80)
+
+
 class TestBuildBasis:
     def test_p0_is_one(self, cosine_unstable):
         assert np.allclose(cosine_unstable.basis.node_values[0], 1.0)
 
-    def test_gram_identity(self, cosine_unstable):
-        b = cosine_unstable.basis
+    @pytest.mark.parametrize("degree", [40, 120])
+    def test_gram_identity(self, cosine_unstable, degree):
+        b = cosine_basis(cosine_unstable, degree)
         mu = b.gibbs.rule.weights * b.gibbs.density
         gram = (b.node_values * mu) @ b.node_values.T
         assert np.abs(gram - np.eye(b.degree + 1)).max() < 1e-10
 
-    def test_gaussian_weight_gives_hermite(self, cosine_unstable):
+    @pytest.mark.parametrize("degree", [40, 120])
+    def test_gaussian_weight_gives_hermite(self, cosine_unstable, degree):
         # closed-form oracle: the orthonormal polynomials of N(mu0, 1)
         # are shifted normalized probabilists' Hermite polynomials,
         # with recurrence alpha_k = mu0 and beta_k = k
-        b = cosine_unstable.basis
-        mu0 = cosine_unstable.gibbs.model.beta * cosine_unstable.gibbs.m
+        b = cosine_basis(cosine_unstable, degree)
+        mu0 = b.gibbs.model.beta * b.gibbs.m
         assert np.abs(b.alpha[:20] - mu0).max() < 1e-10
         assert np.abs(b.beta_sq[1:20] - np.arange(1, 20)).max() < 1e-9
         x = b.gibbs.rule.nodes
@@ -66,6 +88,20 @@ class TestBuildBasis:
                         GridSpec(panel_degree=40))
         with pytest.raises(ValueError, match="exactness"):
             build_basis(g, 60)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_basis_rejected(self):
+        # a law with sd 0.003 puts mass on about 24 nodes; the recurrence
+        # overflows to NaN at degree 60, which a plain `dev > 1e-8` or
+        # `beta_sq <= 0` comparison lets through
+        g = build_gibbs(dawson_model(1.0, 0.7), 0.0, GridSpec(panel_degree=64))
+        x = g.rule.nodes
+        rho = np.exp(-0.5 * (x / 0.003) ** 2)
+        narrow = dataclasses.replace(g, density=rho / np.dot(g.rule.weights,
+                                                             rho))
+        with pytest.raises(ValueError):
+            build_basis(narrow, 60)
 
 
 class TestDirichletMatrix:
@@ -183,11 +219,34 @@ class TestSecular:
         cu = cosine_unstable
         beta, m0 = cu.gibbs.model.beta, cu.gibbs.m
         closed = -1.0 - np.exp(-0.5) * beta * np.sin(beta * m0)
-        assert solve_secular(cu.spectrum, cu.coupling) == pytest.approx(
-            closed, abs=1e-6)
+        assert cu.mode.lambda_star == pytest.approx(closed, abs=1e-6)
 
     def test_absent_above_critical(self, dawson_super):
-        assert solve_secular(dawson_super.spectrum, dawson_super.coupling) is None
+        assert dawson_super.mode.lambda_star is None
+
+    def test_eigenvalue_off_the_curve_rejected(self, dawson_sub):
+        # S - 1 keeps one sign around 50, so no root sits near that
+        # eigenvalue and the discretization is inconsistent
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_secular(dawson_sub.spectrum, dawson_sub.coupling,
+                          np.array([50.0 + 0j]))
+
+    @pytest.mark.parametrize("branch", ["dawson_sub", "dawson_super",
+                                        "cosine_unstable", "rescaled_sub"])
+    def test_root_matches_scan(self, branch, request):
+        # independent oracle: the 4001-point scan with bisection to 1e-13
+        # that located the root before it came from the dense spectrum
+        br = request.getfixturevalue(branch)
+        sp, cp = br.spectrum, br.coupling
+        bound = cp.beta * np.abs(cp.ell * cp.phi_hat).sum()
+        scan = [r for r in find_roots(
+            lambda z: secular_function(sp, cp, z) - 1.0, (1e-12, bound + 1.0),
+            n_scan=4001, tol=1e-13) if r > 1e-9]
+        lam = br.mode.lambda_star
+        assert (lam is None) == (not scan)
+        if scan:
+            assert abs(lam - scan[-1]) <= 1e-12
+            assert abs(secular_function(sp, cp, lam) - 1.0) <= 1e-12
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mdl,m0", [
@@ -231,7 +290,7 @@ class TestFullGeneratorMatrix:
 
     def test_dominant_eigenvalue_matches_secular_root(self, dawson_sub):
         M = full_generator_matrix(dawson_sub.spectrum, dawson_sub.coupling)
-        lam = solve_secular(dawson_sub.spectrum, dawson_sub.coupling)
+        lam = dawson_sub.mode.lambda_star
         assert dense_spectrum(M).abscissa == pytest.approx(lam, abs=1e-9)
 
     def test_dimension_mismatch(self, dawson_sub, cosine_unstable):
