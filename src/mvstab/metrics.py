@@ -117,7 +117,12 @@ def w1_density(x, F, G) -> float:
 
 
 def empirical_cdf(samples, grid_x) -> np.ndarray:
-    """Fraction of samples at or below each grid point."""
-    s = np.sort(np.asarray(samples, dtype=float))
+    """Fraction of samples at or below each grid point.
+
+    Samples already in ascending order are not sorted again.
+    """
+    s = np.asarray(samples, dtype=float)
+    if not (s[:-1] <= s[1:]).all():
+        s = np.sort(s)
     return np.searchsorted(s, np.asarray(grid_x, dtype=float),
                            side="right") / s.size

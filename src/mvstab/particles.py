@@ -14,13 +14,18 @@ transport solver, ``evolve`` records ``t``, ``m`` and observers through
 
 Reproducibility: the Gaussian increments of step s are drawn from a
 counter-based generator keyed by (seed, s), with particle i taking the
-i-th variate.  The stream therefore never depends on how the update is
-scheduled, and the empirical reduction uses numpy pairwise summation,
-so runs are bit-identical for a fixed seed.
+i-th variate (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11).  The draw of step s + 1 therefore does not depend on step
+s, and ``evolve`` makes it on one helper thread while step s runs.  The
+stream never depends on how the update is scheduled, and the empirical
+reduction uses numpy pairwise summation, so runs are bit-identical for
+a fixed seed on any number of CPUs.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
@@ -55,10 +60,14 @@ def make_ensemble(positions, model: ScalarMeanFieldModel,
                     step_index=0, m=float(np.mean(model.g(positions))))
 
 
-def step_rng(seed: int, step_index: int) -> np.random.Generator:
-    """Counter-based generator for one step: key = seed, counter = step."""
-    return np.random.Generator(
+def step_noise(seed: int, step_index: int, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The n Gaussian increments of one step, from the counter-based
+    generator keyed by seed and counted by step; written into ``out``
+    when given."""
+    rng = np.random.Generator(
         np.random.Philox(key=seed, counter=[0, 0, 0, step_index]))
+    return rng.standard_normal(n, out=out)
 
 
 def apply_step(positions: np.ndarray, model: ScalarMeanFieldModel,
@@ -88,14 +97,18 @@ def apply_step(positions: np.ndarray, model: ScalarMeanFieldModel,
     return drift
 
 
-def step(ensemble: Ensemble, model: ScalarMeanFieldModel,
-         dt: float) -> Ensemble:
+def step(ensemble: Ensemble, model: ScalarMeanFieldModel, dt: float,
+         noise: np.ndarray | None = None) -> Ensemble:
     """Advance the ensemble by one ``apply_step`` and cache the
-    statistic of the new positions for the next step."""
+    statistic of the new positions for the next step.
+
+    ``noise`` holds the step's increments when they were drawn ahead
+    (see ``evolve``); by default ``step_noise`` draws them here.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    noise = step_rng(ensemble.seed, ensemble.step_index).standard_normal(
-        ensemble.n)
+    if noise is None:
+        noise = step_noise(ensemble.seed, ensemble.step_index, ensemble.n)
     new = apply_step(ensemble.positions, model, dt, ensemble.m, noise)
     if not np.all(np.isfinite(new)):
         bad = int(np.argmax(~np.isfinite(new)))
@@ -157,6 +170,59 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
     return 0.16 / max(k, 1e-12)
 
 
+class NoiseAhead:
+    """One helper thread that draws each step's increments one step
+    ahead.
+
+    Step k's increments land in buffer k % 2, so the draw of step k + 1
+    never writes the buffer step k reads.  ``take`` hands over the
+    buffer of the ensemble's own step, checked against the key it was
+    drawn under, and starts the next draw.  An error in a draw is raised
+    by ``take`` as itself; leaving the ``with`` block stops and joins
+    the thread on every exit.
+    """
+
+    def __init__(self, ensemble: Ensemble):
+        self.seed, self.n = ensemble.seed, ensemble.n
+        self._bufs = (np.empty(self.n), np.empty(self.n))
+        self._todo: SimpleQueue = SimpleQueue()     # step index or None
+        self._done: SimpleQueue = SimpleQueue()     # (step index, error)
+        self._thread = threading.Thread(target=self._work,
+                                        name="mvstab-noise", daemon=True)
+        self._thread.start()
+        self._todo.put(ensemble.step_index)
+
+    def _work(self):
+        while (k := self._todo.get()) is not None:
+            try:
+                step_noise(self.seed, k, self.n, out=self._bufs[k % 2])
+            except BaseException as exc:     # re-raised by take
+                self._done.put((k, exc))
+            else:
+                self._done.put((k, None))
+
+    def take(self, ensemble: Ensemble) -> np.ndarray:
+        """The increments of ``ensemble``'s step; the draw of the step
+        after it starts before this returns."""
+        k, exc = self._done.get()
+        if exc is not None:
+            raise exc
+        key = (ensemble.seed, ensemble.step_index, ensemble.n)
+        if key != (self.seed, k, self.n):
+            raise RuntimeError(
+                f"increments drawn for (seed, step, n) = "
+                f"{(self.seed, k, self.n)}, asked for {key}")
+        self._todo.put(k + 1)
+        return self._bufs[k % 2]
+
+    def __enter__(self) -> NoiseAhead:
+        return self
+
+    def __exit__(self, *exc_info):
+        self._todo.put(None)
+        self._thread.join()
+
+
 def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
            t_end: float, dt: float | None = None,
            observers: dict[str, Callable[[np.ndarray], float]] | None = None,
@@ -166,14 +232,19 @@ def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
     """Run the particle system through ``metrics.record_run``.
 
     Observers are functions of the position array; ``dt=None`` selects
-    the relaxation guard bound, and a larger step is rejected.  Fixed
-    seeds give bit-identical series.
+    the relaxation guard bound, and a larger step is rejected.  While
+    step s runs, one helper thread draws the increments of step s + 1
+    (``NoiseAhead``); the series are bit-identical to those of a plain
+    loop of ``step``.
     """
     guard = relaxation_dt_bound(model)
     dt = guard if dt is None else float(dt)
     if dt > guard * (1 + 1e-12):
         raise ValueError(
             f"dt={dt:g} exceeds the relaxation guard {guard:g}")
-    return record_run(ensemble, lambda e: step(e, model, dt), t_end=t_end,
-                      dt=dt, view=lambda e: e.positions, observers=observers,
-                      stride=stride, stop_condition=stop_condition)
+    with NoiseAhead(ensemble) as ahead:
+        return record_run(ensemble,
+                          lambda e: step(e, model, dt, ahead.take(e)),
+                          t_end=t_end, dt=dt, view=lambda e: e.positions,
+                          observers=observers, stride=stride,
+                          stop_condition=stop_condition)

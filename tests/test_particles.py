@@ -1,10 +1,15 @@
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mvstab import particles
+from mvstab.metrics import record_run
 from mvstab.model import (ScalarMeanFieldModel, cosine_model, dawson_model,
                           rescaled_double_well_model)
-from mvstab.particles import (BlowUpError, apply_step, evolve, make_ensemble,
-                              relaxation_dt_bound, step)
+from mvstab.particles import (BlowUpError, NoiseAhead, apply_step, evolve,
+                              make_ensemble, relaxation_dt_bound, step)
 from mvstab.perturb import sample_measure
 from mvstab.stationary import build_gibbs
 
@@ -42,10 +47,7 @@ class TestStep:
                                       abs=1e-12)
 
     def test_blow_up_reports_particle_and_time(self):
-        explosive = ScalarMeanFieldModel(
-            name="cubic", beta=0.0, sigma=0.0,
-            a=lambda x: x * x * x, c=lambda x: np.ones_like(x), g=IDENT,
-            coupling_v=IDENT, log_gibbs=lambda x, m: -x * x)
+        explosive = cubic_blow_up()
         ens = make_ensemble(np.array([0.0, 2.0]), explosive, seed=0)
         with pytest.raises(BlowUpError, match="particle 1"), \
                 np.errstate(over="ignore", invalid="ignore"):
@@ -143,6 +145,138 @@ class TestEvolve:
         ts = evolve(make_ensemble(xs, mdl, seed=0), mdl, t_end=5.0, dt=0.005,
                     stride=1, stop_condition=lambda t, m: m < 1.0)
         assert ts.times[-1] < 1.0
+
+
+def cubic_blow_up():
+    """x' = x^3 without noise: the particle started at 2 diverges near
+    t = 1/8."""
+    return ScalarMeanFieldModel(
+        name="cubic", beta=0.0, sigma=0.0,
+        a=lambda x: x * x * x, c=lambda x: np.ones_like(x), g=IDENT,
+        coupling_v=IDENT, log_gibbs=lambda x, m: -x * x)
+
+
+class TestNoiseAhead:
+    """``evolve`` draws each step's increments one step ahead on a
+    helper thread; nothing of a run may depend on that."""
+
+    @staticmethod
+    def last_positions(store):
+        # an observer that keeps the array it is shown
+        def obs(p):
+            store["positions"] = p
+            return float(np.mean(p * p))
+        return obs
+
+    @pytest.mark.parametrize("mdl", [dawson_model(beta=1.0, sigma=0.7),
+                                     cosine_model(beta=2.0)],
+                             ids=["dawson", "cosine"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("start", [0, 5])
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_equals_plain_loop_of_step(self, mdl, stride, start, stop):
+        xs = sample_measure(build_gibbs(mdl, 0.3), 3000, seed=4)
+        ens = replace(make_ensemble(xs, mdl, seed=4), step_index=start)
+        dt = relaxation_dt_bound(mdl)
+        m0 = ens.m
+        # the stop ends the run a few records in, before t_end
+        stop_condition = ((lambda t, m: t > 11 * dt) if stop else None)
+        got, want = {}, {}
+        a = evolve(ens, mdl, t_end=60 * dt, dt=dt, stride=stride,
+                   observers={"x2": self.last_positions(got)},
+                   stop_condition=stop_condition)
+        b = record_run(ens, lambda e: step(e, mdl, dt), t_end=60 * dt,
+                       dt=dt, view=lambda e: e.positions,
+                       observers={"x2": self.last_positions(want)},
+                       stride=stride, stop_condition=stop_condition)
+        assert a.times[-1] < 59 * dt if stop else a.times.size > 2
+        assert np.array_equal(a.times, b.times)
+        assert a.channels.keys() == b.channels.keys()
+        for name in a.channels:
+            assert np.array_equal(a[name], b[name])
+        assert np.array_equal(got["positions"], want["positions"])
+        assert a["m"][0] == m0
+
+    def test_step_draws_by_its_own_key(self):
+        mdl = dawson_model(beta=1.0, sigma=0.7)
+        ens = replace(make_ensemble(np.linspace(-1, 1, 500), mdl, seed=2),
+                      step_index=9)
+        noise = particles.step_noise(2, 9, 500)
+        assert np.array_equal(step(ens, mdl, 1e-3).positions,
+                              step(ens, mdl, 1e-3, noise).positions)
+
+    def test_take_checks_the_key(self):
+        mdl = dawson_model(beta=1.0, sigma=0.7)
+        ens = make_ensemble(np.zeros(100), mdl, seed=1)
+        with NoiseAhead(ens) as ahead:
+            with pytest.raises(RuntimeError, match="drawn for"):
+                ahead.take(replace(ens, step_index=1))
+
+    @staticmethod
+    def run_joined(fn, timeout=120.0):
+        """Run ``fn`` on a thread joined with a timeout, so that a
+        deadlock fails the test instead of hanging the suite.  The
+        thread count is read the moment ``fn`` ends, before a helper
+        thread that was not joined would have had time to finish."""
+        box = {}
+
+        def target():
+            try:
+                box["value"] = fn()
+            except BaseException as exc:
+                box["error"] = exc
+            box["threads"] = threading.active_count()
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout)
+        assert not runner.is_alive(), "evolve did not return"
+        return box
+
+    class DrawFailed(Exception):
+        pass
+
+    @pytest.mark.parametrize("end", ["normal", "stop", "blow-up", "draw",
+                                     "observer"])
+    def test_no_thread_left_behind(self, end, monkeypatch):
+        mdl = dawson_model(beta=1.0, sigma=0.7)
+        ens = make_ensemble(np.linspace(-1, 1, 2000), mdl, seed=6)
+        kw = dict(t_end=0.5, stride=2)
+        err = self.DrawFailed("no increments for step 3")
+        if end == "stop":
+            kw["stop_condition"] = lambda t, m: t > 0.05
+        elif end == "blow-up":
+            mdl = cubic_blow_up()
+            ens = make_ensemble(np.array([0.0, 2.0]), mdl, seed=0)
+            kw["t_end"] = 1.0
+        elif end == "draw":
+            real = particles.step_noise
+
+            def failing(seed, k, n, out=None):
+                if k == 3:
+                    raise err
+                return real(seed, k, n, out=out)
+            monkeypatch.setattr(particles, "step_noise", failing)
+        elif end == "observer":
+            def observer(p):
+                raise err
+            kw["observers"] = {"bad": observer}
+
+        def run():
+            with np.errstate(over="ignore", invalid="ignore"):
+                return evolve(ens, mdl, **kw)
+        before = threading.active_count()
+        box = self.run_joined(run)
+        assert box["threads"] == before + 1      # the runner itself
+        assert threading.active_count() == before
+        if end == "normal":
+            assert box["value"].times[-1] >= 0.5 - 1e-12
+        elif end == "stop":
+            assert box["value"].times[-1] < 0.1
+        elif end == "blow-up":
+            assert isinstance(box["error"], BlowUpError)
+            assert "particle 1" in str(box["error"])
+        else:
+            assert box["error"] is err
 
 
 class TestAgainstMeanFieldOracle:
