@@ -217,7 +217,7 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid) -> float:
     there anyway.
     """
     x = grid.centers
-    lg = model.log_gibbs(x, 0.0)
+    lg = model.log_gibbs0(x)
     support = lg > lg.max() - 28.0
     if not np.any(support):
         support = np.ones_like(x, dtype=bool)

@@ -6,9 +6,9 @@ A model describes the 1-D SDE
 
 with drift decomposed as b(x, m) = a(x) + beta * c(x) * m.  The coupling
 enters only through the scalar statistic m, which keeps the linearized
-interaction exactly rank one.  Each model carries the unnormalized
-log-density family log_gibbs(x, m) of the SDE with the coupling frozen
-at m; it satisfies the gradient identity (sigma^2/2) d/dx log_gibbs = b.
+interaction exactly rank one.  A model gives only its unnormalized m = 0
+log-density log_gibbs0; ``log_gibbs`` adds the tilt kappa m v (kappa =
+2 beta / sigma^2, v' = c), the one place m enters the Gibbs family.
 """
 from __future__ import annotations
 
@@ -24,11 +24,11 @@ Func = Callable[[np.ndarray], np.ndarray]
 class ScalarMeanFieldModel:
     """Mean-field model with drift a(x) + beta * c(x) * m and m = E[g(X)].
 
-    ``coupling_v`` is an antiderivative of c; it represents the pairing
-    functional f -> integral of c * f' dmu in the energy form and is
-    needed by the spectral analysis.  ``symmetric`` flags models with a
-    odd, c even and g odd, for which the self-consistency residual is an
-    odd function of m.
+    ``coupling_v`` is an antiderivative of c; it tilts ``log_gibbs0`` by
+    ``kappa`` m and represents the pairing f -> integral of c * f' dmu in
+    the energy form of the spectral analysis.  ``symmetric`` flags models
+    with a odd, c even and g odd, for which the self-consistency residual
+    is an odd function of m.
     """
 
     name: str
@@ -38,13 +38,21 @@ class ScalarMeanFieldModel:
     c: Func
     g: Func
     coupling_v: Func
-    log_gibbs: Callable[[np.ndarray, float], np.ndarray]
+    log_gibbs0: Func
     symmetric: bool = False
+
+    @property
+    def kappa(self) -> float:
+        return 2.0 * self.beta / self.sigma ** 2
 
     def drift(self, x, m: float):
         """Drift b(x, m) = a(x) + beta * c(x) * m."""
         x = np.asarray(x, dtype=float)
         return self.a(x) + (self.beta * m) * self.c(x)
+
+    def log_gibbs(self, x, m: float):
+        """Gibbs log-density at coupling m, up to a constant in m."""
+        return self.log_gibbs0(x) + (self.kappa * m) * self.coupling_v(x)
 
     def with_params(self, sigma: float) -> "ScalarMeanFieldModel":
         """Rebuild the same builtin family at a new noise level."""
@@ -70,21 +78,20 @@ def dawson_model(beta: float = 1.0, sigma: float = 0.5) -> ScalarMeanFieldModel:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    b2 = beta
 
     def a(x):
-        return x * (1.0 - b2 - x * x)
+        return x * (1.0 - beta - x * x)
 
-    def log_gibbs(x, m):
+    def log_gibbs0(x):
         x2 = x * x
         return -(2.0 / sigma ** 2) * (0.25 * x2 * x2 - 0.5 * x2
-                                      + 0.5 * b2 * (x - m) ** 2)
+                                      + 0.5 * beta * x ** 2)
 
     ident = lambda x: np.asarray(x, dtype=float)
     return ScalarMeanFieldModel(
         name="dawson", beta=beta, sigma=sigma,
         a=a, c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        g=ident, coupling_v=ident, log_gibbs=log_gibbs, symmetric=True)
+        g=ident, coupling_v=ident, log_gibbs0=log_gibbs0, symmetric=True)
 
 
 def cosine_model(beta: float = 1.0,
@@ -97,17 +104,12 @@ def cosine_model(beta: float = 1.0,
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    b2 = beta
-
-    def log_gibbs(x, m):
-        return -(x - b2 * m) ** 2 / sigma ** 2
-
     return ScalarMeanFieldModel(
         name="cosine", beta=beta, sigma=sigma,
         a=lambda x: -np.asarray(x, dtype=float),
         c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         g=np.cos, coupling_v=lambda x: np.asarray(x, dtype=float),
-        log_gibbs=log_gibbs, symmetric=False)
+        log_gibbs0=lambda x: -x ** 2 / sigma ** 2, symmetric=False)
 
 
 def rescaled_double_well_model(beta: float = 1.0,
@@ -120,35 +122,35 @@ def rescaled_double_well_model(beta: float = 1.0,
                             + beta m)
                   - sigma^2 x (1 + x^2/9) / ((1 + x^2/3)(1 + x^2)),
 
-    with coupling statistic m = E[u0(X)].  The Gibbs family is
+    with coupling statistic m = E[u0(X)].  The m = 0 log-density is
 
-        log_gibbs = -(u0^2 - 1)^2 / (2 sigma^2)
-                    - beta (u0 - m)^2 / sigma^2 + log u0'(x);
+        log_gibbs0 = -(u0^2 - 1)^2 / (2 sigma^2) - beta u0^2 / sigma^2
+                     + log u0'(x);
 
     substituting u = u0(x) shows its self-consistency residual equals
     the dawson one at the same (beta, sigma).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    b2, s2 = beta, sigma ** 2
+    s2 = sigma ** 2
 
     def a(x):
         x = np.asarray(x, dtype=float)
         core = (-x ** 3 / (1.0 + x * x)
-                + (1.0 - b2) * x / np.cbrt(1.0 + x * x))
+                + (1.0 - beta) * x / np.cbrt(1.0 + x * x))
         ito = s2 * x * (1.0 + x * x / 9.0) / ((1.0 + x * x / 3.0)
                                               * (1.0 + x * x))
         return _u0_prime(x) * core - ito
 
-    def log_gibbs(x, m):
+    def log_gibbs0(x):
         u = _u0(x)
         return (-(u * u - 1.0) ** 2 / (2.0 * s2)
-                - b2 * (u - m) ** 2 / s2 + np.log(_u0_prime(x)))
+                - beta * u ** 2 / s2 + np.log(_u0_prime(x)))
 
     return ScalarMeanFieldModel(
         name="rescaled_double_well", beta=beta, sigma=sigma,
         a=a, c=_u0_prime, g=_u0, coupling_v=_u0,
-        log_gibbs=log_gibbs, symmetric=True)
+        log_gibbs0=log_gibbs0, symmetric=True)
 
 
 BUILTIN_MODELS: dict[str, Callable[..., ScalarMeanFieldModel]] = {

@@ -152,7 +152,7 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
     # raw support: where the log-density sits within 28 nats of its
     # peak (pointwise ~1e-12), without the quadrature safety margin
     scan = np.linspace(-64.0, 64.0, 8193)
-    lg = model.log_gibbs(scan, 0.0)
+    lg = model.log_gibbs0(scan)
     if not np.isfinite(lg).all():
         i = int(np.argmax(~np.isfinite(lg)))
         raise ValueError(

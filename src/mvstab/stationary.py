@@ -1,19 +1,19 @@
 """Stationary branches of the mean-field dynamics.
 
-The frozen-coupling SDE at statistic value m has the normalized Gibbs
-law mu_m ~ exp(log_gibbs(x, m)).  Stationary states of the full
-nonlinear dynamics are the fixed points of m -> mu_m(g), i.e. the zeros
-of the self-consistency residual psi(m) = mu_m(g) - m.  This module
-builds mu_m on a quadrature grid, locates all branches, evaluates the
-covariance stability indicator S0 per branch, and finds the critical
-noise level where the symmetric branch changes character.
+The frozen-coupling SDE at statistic value m has the Gibbs law mu_m ~
+exp(log_gibbs0 + kappa m v), the m = 0 law tilted by the coupling v
+(``ScalarMeanFieldModel.log_gibbs``).  Stationary states are the zeros
+of psi(m) = mu_m(g) - m.  This module builds mu_m on a quadrature grid,
+locates all branches, evaluates the covariance stability indicator S0
+per branch, and finds the critical noise level where the symmetric
+branch changes character.
 
 A law on the grid is a ``GridMeasure`` (rule and density, one checked
 ``moment``, a ``cdf`` computed on read); ``GibbsMeasure`` adds model, m.
 
-Differentiating the Gibbs family in m gives psi'(m) = S0(m) - 1 for
-every model that satisfies its gradient identity, so S0 grades a branch
-and also flags a fold (|S0 - 1| < 1e-6) without differentiating psi.
+Since m enters only through that tilt, psi'(m) = kappa Cov_m(v, g) - 1
+= S0(m) - 1 at every m for any model, so S0 grades a branch and also
+flags a fold (|S0 - 1| < 1e-6) without differentiating psi.
 """
 from __future__ import annotations
 
@@ -169,19 +169,17 @@ def psi(model: ScalarMeanFieldModel, m: float,
 
 
 def _raw_indicator(model: ScalarMeanFieldModel, gibbs: GibbsMeasure) -> float:
-    """Covariance indicator (2 beta / sigma^2) Cov_mu(v, g) at any m."""
-    v = gibbs.moment(model.coupling_v)
-    g = gibbs.moment(model.g)
-    vg = gibbs.moment(model.coupling_v(gibbs.rule.nodes)
-                      * model.g(gibbs.rule.nodes))
-    return (2.0 * model.beta / model.sigma ** 2) * (vg - v * g)
+    """Covariance indicator kappa Cov_mu(v, g) at any m."""
+    v, g = model.coupling_v(gibbs.rule.nodes), model.g(gibbs.rule.nodes)
+    return model.kappa * (gibbs.moment(v * g)
+                          - gibbs.moment(v) * gibbs.moment(g))
 
 
 def stability_indicator(model: ScalarMeanFieldModel, m_root: float) -> float:
-    """Branch indicator S0 = (2 beta / sigma^2) Cov_mu(v, g) at a root.
+    """Branch indicator S0 = kappa Cov_mu(v, g) at a root.
 
     S0 > 1 signals a positive root of the secular equation, hence an
-    unstable branch; S0 equals 1 + psi'(m_root) for the builtin models.
+    unstable branch; S0 = 1 + psi'(m_root) for any model, by the tilt.
     A root off by more than 1e-8 in psi is rejected.
     """
     gibbs = build_gibbs(model, m_root)

@@ -21,7 +21,7 @@ def free_diffusion(sigma=1.0):
         a=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         g=IDENT, coupling_v=IDENT,
-        log_gibbs=lambda x, m: np.zeros_like(x))
+        log_gibbs0=lambda x: np.zeros_like(x))
 
 
 @pytest.fixture(scope="module")

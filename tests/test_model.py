@@ -43,9 +43,13 @@ class TestDrift:
 
 class TestLogGibbs:
     def test_cosine_exact_gaussian_exponent(self):
+        # the log-density is unnormalized: the tilt drops the constant
+        # -beta^2 m^2 / sigma^2, so compare both sides less their value
+        # at x = 0
         m = cosine_model(beta=2.0)
         x = np.linspace(-4, 7, 23)
-        assert np.allclose(m.log_gibbs(x, 0.4), -(x - 0.8) ** 2 / 2)
+        lg = m.log_gibbs(x, 0.4) - m.log_gibbs(np.array(0.0), 0.4)
+        assert np.allclose(lg, -(x - 0.8) ** 2 / 2 + 0.8 ** 2 / 2)
 
     def test_dawson_even_at_symmetric_point(self):
         m = dawson_model(beta=1.0, sigma=0.6)
@@ -70,6 +74,15 @@ class TestFrozenDriftConsistency:
                 - model.log_gibbs(x - h, mval)) / (2 * h)
         lhs = 0.5 * model.sigma ** 2 * dlog
         assert np.abs(lhs - model.drift(x, mval)).max() < 1e-6
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_coupling_antiderivative(self, model):
+        # the tilt kappa m v carries the gradient identity from m = 0 to
+        # every m only if v' = c, the one promise a model still keeps
+        x = np.linspace(-2.0, 2.0, 2001)
+        h = 1e-6
+        dv = (model.coupling_v(x + h) - model.coupling_v(x - h)) / (2 * h)
+        assert np.abs(dv - model.c(x)).max() < 1e-8
 
 
 class TestRegistry:

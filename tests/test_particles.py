@@ -25,7 +25,7 @@ def noiseless_ou(sigma=0.0):
         a=lambda x: -np.asarray(x, dtype=float),
         c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         g=IDENT, coupling_v=IDENT,
-        log_gibbs=lambda x, m: -x * x, symmetric=True)
+        log_gibbs0=lambda x: -x * x, symmetric=True)
 
 
 class TestStep:
@@ -113,7 +113,7 @@ class TestEvolve:
             a=lambda x: -np.asarray(x, dtype=float),
             c=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             g=IDENT, coupling_v=IDENT,
-            log_gibbs=lambda x, m: np.where(np.abs(x) < 5.0, -x * x, -np.inf))
+            log_gibbs0=lambda x: np.where(np.abs(x) < 5.0, -x * x, -np.inf))
         with pytest.raises(ValueError, match="boxed is not finite"):
             relaxation_dt_bound(boxed)
 
@@ -153,7 +153,7 @@ def cubic_blow_up():
     return ScalarMeanFieldModel(
         name="cubic", beta=0.0, sigma=0.0,
         a=lambda x: x * x * x, c=lambda x: np.ones_like(x), g=IDENT,
-        coupling_v=IDENT, log_gibbs=lambda x, m: -x * x)
+        coupling_v=IDENT, log_gibbs0=lambda x: -x * x)
 
 
 class TestNoiseAhead:

@@ -10,7 +10,8 @@ from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              coupling_vectors, dirichlet_matrix,
                              full_generator_matrix, linearized_propagate,
                              secular_function, solve_secular)
-from mvstab.stationary import GridSpec, build_gibbs, stability_indicator
+from mvstab.stationary import (GridSpec, _raw_indicator, build_gibbs,
+                               self_consistent_roots, stability_indicator)
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -356,6 +357,51 @@ class TestUnstableMode:
         M = full_generator_matrix(dawson_sub.spectrum, dawson_sub.coupling)
         u = m.adjoint_vec
         assert np.linalg.norm(u @ M - m.lambda0.real * u) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def dawson_pitchfork():
+    """Normal-form coefficients of the dawson pitchfork at sigma_c, beta = 1:
+    the slope -d_sigma S0 / d_lambda S(0) of lambda_star in sigma - sigma_c,
+    with d_lambda S(0) = -sum a_j / lambda_j^2, and psi'''(0), which the
+    tilt makes exactly kappa^3 times the fourth cumulant of x under mu_0."""
+    sc = SIGMA_C_DAWSON_BETA1
+
+    def s0(sig):
+        mdl = dawson_model(beta=1.0, sigma=sig)
+        return _raw_indicator(mdl, build_gibbs(mdl, 0.0))
+
+    mdl = dawson_model(beta=1.0, sigma=sc)
+    gibbs = build_gibbs(mdl, 0.0)
+    br = analyze_branch(gibbs, 60)
+    a = br.coupling.beta * br.coupling.ell[1:] * br.coupling.phi_hat[1:]
+    dS_dlam = -np.sum(a / br.spectrum.values[1:] ** 2)
+    h = 1e-4
+    dS0_dsig = (s0(sc + h) - s0(sc - h)) / (2 * h)
+    var = gibbs.moment(lambda x: x ** 2)
+    kappa4 = gibbs.moment(lambda x: x ** 4) - 3.0 * var ** 2
+    return s0, -dS0_dsig / dS_dlam, mdl.kappa ** 3 * kappa4
+
+
+class TestPitchforkNormalForm:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+    def test_rate_and_outer_root(self, dawson_pitchfork, eps):
+        # critical slowing-down at sigma = sigma_c (1 - eps): lambda_star ~
+        # slope (sigma - sigma_c) and m_plus ~ sqrt(-6 (S0 - 1) / psi'''(0))
+        # are leading terms in eps.  The next order is a relative O(eps),
+        # measured at 0.011 eps on lambda_star and 1.15 eps on m_plus, so
+        # both ratios are held to 2 eps.  The frozen sigma_c sits 5e-12 off
+        # the closed form, 5e-7 of sigma_c - sigma at eps = 1e-5, which
+        # that bound also covers.
+        s0, slope, psi3 = dawson_pitchfork
+        sig = SIGMA_C_DAWSON_BETA1 * (1.0 - eps)
+        mdl = dawson_model(beta=1.0, sigma=sig)
+        lam = analyze_branch(build_gibbs(mdl, 0.0), 60).mode.lambda_star
+        assert lam == pytest.approx(slope * (sig - SIGMA_C_DAWSON_BETA1),
+                                    rel=2 * eps)
+        m_plus = max(self_consistent_roots(mdl).roots)
+        assert m_plus == pytest.approx(np.sqrt(-6.0 * (s0(sig) - 1.0) / psi3),
+                                       rel=2 * eps)
 
 
 class TestLinearizedPropagate:

@@ -4,9 +4,10 @@ from scipy.stats import norm
 
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import find_roots
-from mvstab.stationary import (GridSpec, TruncationError, auto_half_width,
-                               build_gibbs, critical_sigma, psi,
-                               self_consistent_roots, stability_indicator)
+from mvstab.stationary import (GridSpec, TruncationError, _raw_indicator,
+                               auto_half_width, build_gibbs, critical_sigma,
+                               psi, self_consistent_roots,
+                               stability_indicator)
 
 # bisection value, cross-checked against the closed form
 # 2 sqrt(2) Gamma(3/4) / Gamma(1/4) in test_critical_sigma_closed_form
@@ -182,13 +183,17 @@ class TestStabilityIndicator:
             stability_indicator(dawson_model(1.0, 0.6), 0.4)
 
     @pytest.mark.parametrize("mdl", [dawson_model(1.0, 0.7),
-                                     rescaled_double_well_model(1.0, 0.7)],
+                                     rescaled_double_well_model(1.0, 0.7),
+                                     cosine_model(2.0)],
                              ids=lambda m: m.name)
     def test_matches_one_plus_psi_prime(self, mdl):
-        # finite-difference oracle for the identity S0 = 1 + psi'(root)
+        # finite-difference oracle for the identity S0 = 1 + psi'(m),
+        # which the tilt makes hold at the roots and off them alike
         rep = self_consistent_roots(mdl)
+        off = [(m, _raw_indicator(mdl, build_gibbs(mdl, m)))
+               for m in (-0.6, 0.3, 0.9)]
         h = 1e-5
-        for r, s0 in zip(rep.roots, rep.s0_per_root):
+        for r, s0 in [*zip(rep.roots, rep.s0_per_root), *off]:
             dpsi = (psi(mdl, r + h) - psi(mdl, r - h)) / (2 * h)
             assert s0 == pytest.approx(1.0 + dpsi, abs=1e-6)
 
