@@ -2,7 +2,6 @@
 transport solver ("fp") or the interacting particles ("particles")."""
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,9 +20,11 @@ from .spectrum import BranchAnalysis
 class EscapeResult:
     """What one escape run measured.
 
-    ``series`` carries the channels ``m``, ``pairing`` (f_star pairing
-    minus its value on the branch) and ``w1`` (transport distance to the
-    branch) per record.  ``m_center`` is the engine's own branch
+    ``series`` is the engine's own series.  Each record is one
+    observation of the engine state, with the channels ``m``,
+    ``pairing`` (f_star pairing minus its value on the branch) and
+    ``w1`` (transport distance to the branch); "fp" adds its
+    ``step_error`` channel.  ``m_center`` is the engine's own branch
     statistic: the discrete steady state for "fp", the root itself for
     "particles".  The rate fields are None when ``status`` is
     "inconclusive".  ``dt`` and ``steps`` describe the run on either
@@ -44,19 +45,6 @@ class EscapeResult:
     dt: float
     steps: int
     step_error: float | None
-
-
-def _once_per_array(fn):
-    """``fn`` memoized on the identity of its array argument: the
-    observers of one record all read the same array.  The key is a weak
-    reference, so no record's positions outlive their step."""
-    last = [lambda: None, None]
-
-    def call(arr):
-        if last[0]() is not arr:
-            last[:] = weakref.ref(arr), fn(arr)
-        return last[1]
-    return call
 
 
 def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
@@ -93,8 +81,10 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         m_center, x, dx = ss.m, grid.centers, grid.dx
         fstar_x, ref_cdf = branch.fstar_at(x), np.cumsum(ss.rho) * dx
         fstar_ref = float(np.dot(fstar_x, ss.rho) * dx)
-        obs = {"fstar": lambda rho: float(np.dot(fstar_x, rho) * dx),
-               "w1": lambda rho: w1_density(x, np.cumsum(rho) * dx, ref_cdf)}
+
+        def observe(s):
+            return {"pairing": float(np.dot(fstar_x, s.rho) * dx) - fstar_ref,
+                    "w1": w1_density(x, np.cumsum(s.rho) * dx, ref_cdf)}
         rho0 = ss.rho * (1.0 + delta * spec.g_M_at(x))
         dt = default_dt(model, grid) if dt is None else dt
         run = partial(fp_evolve, state_from_density(rho0, model, grid),
@@ -104,23 +94,22 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         fstar_x = branch.fstar_at(nodes)
         fstar_ref = gibbs.moment(fstar_x)
 
-        def channels(p):
-            # one sort serves both; interp is an order of magnitude
-            # faster on sorted positions
-            s = np.sort(p)
-            return (float(np.mean(np.interp(s, nodes, fstar_x))),
-                    w1_density(nodes, empirical_cdf(s, nodes), ref_cdf))
-        both = _once_per_array(channels)
-        obs = {"fstar": lambda p: both(p)[0], "w1": lambda p: both(p)[1]}
+        def observe(e):
+            # one sort serves both channels; interp is an order of
+            # magnitude faster on sorted positions
+            s = np.sort(e.positions)
+            return {"pairing": float(np.mean(np.interp(s, nodes, fstar_x)))
+                    - fstar_ref,
+                    "w1": w1_density(nodes, empirical_cdf(s, nodes), ref_cdf)}
         xs = sample_measure(mu_delta, n_particles, seed=seed)
         dt = relaxation_dt_bound(model) if dt is None else dt
         run = partial(evolve, make_ensemble(xs, model, seed=seed), model)
     else:
         raise ValueError(f"engine must be fp or particles, got {engine!r}")
-    series = run(t_end=t_end, dt=dt, observers=obs, stride=stride,
+    series = run(t_end=t_end, dt=dt, observe=observe, stride=stride,
                  stop_condition=lambda t, m: abs(m - m_center) > stop_level)
     times, m_ser = series.times, series["m"]
-    pair, w1 = series["fstar"] - fstar_ref, series["w1"]
+    pair, w1 = series["pairing"], series["w1"]
 
     escape = np.abs(m_ser - m_center) > band
     side = np.sign(m_ser[-1] - m_center)
@@ -148,8 +137,7 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
     return EscapeResult(
         status="inconclusive" if fitted is None else "ok",
         m_center=float(m_center), initial_pairing=float(c0),
-        series=TimeSeries(times=times,
-                          channels={"m": m_ser, "pairing": pair, "w1": w1}),
+        series=series,
         escape_time=float(times[escape][0]) if escape.any() else None,
         w1_at_escape=float(w1[escape][0]) if escape.any() else None,
         final_branch=final_branch, fitted_rate=fitted,

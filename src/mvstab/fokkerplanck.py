@@ -214,14 +214,17 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid) -> float:
     The drift maximum is taken at m = +-1 over the occupied region
     (stationary log-density within 28 nats of its peak); the outer cells
     carry no mass, and the implicit solves are unconditionally stable
-    there anyway.
+    there anyway.  A log-density that is not finite on the grid is
+    rejected.
     """
     x = grid.centers
     lg = model.log_gibbs0(x)
-    support = lg > lg.max() - 28.0
-    if not np.any(support):
-        support = np.ones_like(x, dtype=bool)
-    xs = x[support]
+    if not np.isfinite(lg).all():
+        i = int(np.argmax(~np.isfinite(lg)))
+        raise ValueError(
+            f"log-density of {model.name} is not finite at x={x[i]:g}; "
+            "the FP default step needs it on every cell")
+    xs = x[lg > lg.max() - 28.0]
     bmax = max(abs(model.drift(xs, 1.0)).max(),
                abs(model.drift(xs, -1.0)).max())
     return 4.0 * grid.dx / max(bmax, 1e-12)
@@ -229,25 +232,27 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid) -> float:
 
 def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid, *,
               t_end: float, dt: float | None = None,
-              observers: dict[str, Callable] | None = None,
+              observe: Callable[[FpState], dict] | None = None,
               stride: int = 1,
               stop_condition: Callable[[float, float], bool] | None = None
               ) -> TimeSeries:
     """Evolve through ``metrics.record_run`` with the keywords of the
     particle engine's ``evolve``.
 
-    Observers are functions of the cell density; ``dt=None`` selects
-    ``default_dt``.  Besides ``m`` and the observers, the series has the
+    ``observe`` maps a state to the dict of its record's channels;
+    ``dt=None`` selects ``default_dt``.  Each record also gets the
     channel ``step_error``: the largest local error estimate of the
-    steps taken up to each record (see ``FpStepper.step``).
+    steps taken up to it (see ``FpStepper.step``).
     """
     stepper = FpStepper(model, grid)
     dt = default_dt(model, grid) if dt is None else dt
-    observers = {**(observers or {}),
-                 "step_error": lambda rho: stepper.step_error}
+
+    def observe_fp(s):
+        return {**(observe(s) if observe else {}),
+                "step_error": stepper.step_error}
     return record_run(state, lambda s: stepper.step(s, dt), t_end=t_end,
-                      dt=dt, view=lambda s: s.rho, observers=observers,
-                      stride=stride, stop_condition=stop_condition)
+                      dt=dt, observe=observe_fp, stride=stride,
+                      stop_condition=stop_condition)
 
 
 def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,

@@ -37,33 +37,28 @@ class TimeSeries:
 
 
 def record_run(state, advance: Callable, *, t_end: float, dt: float,
-               view: Callable, observers: dict[str, Callable] | None = None,
-               stride: int = 1,
+               observe: Callable[..., dict] | None = None, stride: int = 1,
                stop_condition: Callable[[float, float], bool] | None = None
                ) -> TimeSeries:
-    """Step a state to t_end, recording its ``t``, ``m`` and observers.
+    """Step a state to t_end, recording its ``t``, ``m`` and one
+    observation per record.
 
-    ``advance(state)`` returns the state one step of ``dt`` later and
-    ``view(state)`` the array each observer reads.  The first record is
-    the initial state; afterwards one record lands every ``stride``
-    steps and at the last step.  ``stop_condition(t, m)`` is asked at
-    records only and ends the run when true.  The series has the
-    channel ``m`` plus one channel per observer.
+    ``advance(state)`` returns the state one step of ``dt`` later, and
+    ``observe(state)`` returns a dict whose keys become the channels
+    next to ``m``.  The first record is the initial state; afterwards
+    one record lands every ``stride`` steps and at the last step.
+    ``stop_condition(t, m)`` is asked at records only and ends the run
+    when true.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    observers = observers or {}
-    names = sorted(observers)
-    times, ms, obs = [], [], {k: [] for k in names}
+    times, rows = [], []
 
     def record(cur):
         times.append(cur.t)
-        ms.append(cur.m)
-        arr = view(cur)
-        for k in names:
-            obs[k].append(observers[k](arr))
+        rows.append({"m": cur.m, **(observe(cur) if observe else {})})
 
     record(state)
     n_steps = int(np.ceil(t_end / dt - 1e-12))
@@ -74,9 +69,8 @@ def record_run(state, advance: Callable, *, t_end: float, dt: float,
             record(cur)
             if stop_condition is not None and stop_condition(cur.t, cur.m):
                 break
-    channels = {"m": np.array(ms)}
-    channels.update({k: np.array(v) for k, v in obs.items()})
-    return TimeSeries(times=np.array(times), channels=channels)
+    return TimeSeries(times=np.array(times), channels={
+        k: np.array([row[k] for row in rows]) for k in rows[0]})
 
 
 def w1_empirical(xs, ys) -> float:

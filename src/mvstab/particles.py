@@ -9,23 +9,23 @@ increment.  The law is closed through the empirical statistic
 m = mean(g(X^i)), computed once at the start of the step and once at
 the predictor and shared by all particles (synchronous coupling), so
 the cost per step stays O(N) for the scalar interaction.  Like the
-transport solver, ``evolve`` records ``t``, ``m`` and observers through
-``metrics.record_run`` and takes the keywords of ``fp_evolve``.
+transport solver, ``evolve`` records ``t``, ``m`` and one observation
+per record through ``metrics.record_run`` and takes the keywords of
+``fp_evolve``.
 
 Reproducibility: the Gaussian increments of step s are drawn from a
 counter-based generator keyed by (seed, s), with particle i taking the
 i-th variate (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11).  The draw of step s + 1 therefore does not depend on step
-s, and ``evolve`` makes it on one helper thread while step s runs.  The
-stream never depends on how the update is scheduled, and the empirical
-reduction uses numpy pairwise summation, so runs are bit-identical for
-a fixed seed on any number of CPUs.
+s, and ``evolve`` submits it to a one-worker ``ThreadPoolExecutor``
+while step s runs.  The stream never depends on how the update is
+scheduled, and the empirical reduction uses numpy pairwise summation,
+so runs are bit-identical for a fixed seed on any number of CPUs.
 """
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
@@ -170,81 +170,49 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
     return 0.16 / max(k, 1e-12)
 
 
-class NoiseAhead:
-    """One helper thread that draws each step's increments one step
-    ahead.
-
-    Step k's increments land in buffer k % 2, so the draw of step k + 1
-    never writes the buffer step k reads.  ``take`` hands over the
-    buffer of the ensemble's own step, checked against the key it was
-    drawn under, and starts the next draw.  An error in a draw is raised
-    by ``take`` as itself; leaving the ``with`` block stops and joins
-    the thread on every exit.
-    """
-
-    def __init__(self, ensemble: Ensemble):
-        self.seed, self.n = ensemble.seed, ensemble.n
-        self._bufs = (np.empty(self.n), np.empty(self.n))
-        self._todo: SimpleQueue = SimpleQueue()     # step index or None
-        self._done: SimpleQueue = SimpleQueue()     # (step index, error)
-        self._thread = threading.Thread(target=self._work,
-                                        name="mvstab-noise", daemon=True)
-        self._thread.start()
-        self._todo.put(ensemble.step_index)
-
-    def _work(self):
-        while (k := self._todo.get()) is not None:
-            try:
-                step_noise(self.seed, k, self.n, out=self._bufs[k % 2])
-            except BaseException as exc:     # re-raised by take
-                self._done.put((k, exc))
-            else:
-                self._done.put((k, None))
-
-    def take(self, ensemble: Ensemble) -> np.ndarray:
-        """The increments of ``ensemble``'s step; the draw of the step
-        after it starts before this returns."""
-        k, exc = self._done.get()
-        if exc is not None:
-            raise exc
-        key = (ensemble.seed, ensemble.step_index, ensemble.n)
-        if key != (self.seed, k, self.n):
-            raise RuntimeError(
-                f"increments drawn for (seed, step, n) = "
-                f"{(self.seed, k, self.n)}, asked for {key}")
-        self._todo.put(k + 1)
-        return self._bufs[k % 2]
-
-    def __enter__(self) -> NoiseAhead:
-        return self
-
-    def __exit__(self, *exc_info):
-        self._todo.put(None)
-        self._thread.join()
-
-
 def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
            t_end: float, dt: float | None = None,
-           observers: dict[str, Callable[[np.ndarray], float]] | None = None,
+           observe: Callable[[Ensemble], dict] | None = None,
            stride: int = 1,
            stop_condition: Callable[[float, float], bool] | None = None
            ) -> TimeSeries:
     """Run the particle system through ``metrics.record_run``.
 
-    Observers are functions of the position array; ``dt=None`` selects
-    the relaxation guard bound, and a larger step is rejected.  While
-    step s runs, one helper thread draws the increments of step s + 1
-    (``NoiseAhead``); the series are bit-identical to those of a plain
-    loop of ``step``.
+    ``observe`` maps an ensemble to the dict of its record's channels;
+    ``dt=None`` selects the relaxation guard bound, and a larger step is
+    rejected.  While step k runs, a one-worker thread pool draws the
+    increments of step k + 1 into buffer (k + 1) % 2, so the draw never
+    writes the buffer step k reads.  Each draw is checked against the
+    (seed, step, n) key of the ensemble that uses it, and a failed draw
+    is raised as itself; the draw made after the last step is waited
+    for but never used.  Leaving the pool's ``with`` block joins its
+    worker on every exit.  The series are bit-identical to those of a
+    plain loop of ``step``.
     """
     guard = relaxation_dt_bound(model)
     dt = guard if dt is None else float(dt)
     if dt > guard * (1 + 1e-12):
         raise ValueError(
             f"dt={dt:g} exceeds the relaxation guard {guard:g}")
-    with NoiseAhead(ensemble) as ahead:
-        return record_run(ensemble,
-                          lambda e: step(e, model, dt, ahead.take(e)),
-                          t_end=t_end, dt=dt, view=lambda e: e.positions,
-                          observers=observers, stride=stride,
+    seed, n = ensemble.seed, ensemble.n
+    bufs = (np.empty(n), np.empty(n))
+
+    def draw(k):
+        return k, step_noise(seed, k, n, out=bufs[k % 2])
+
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="mvstab-noise") as pool:
+        ahead = pool.submit(draw, ensemble.step_index)
+
+        def advance(e):
+            nonlocal ahead
+            k, noise = ahead.result()
+            key = (e.seed, e.step_index, e.n)
+            if key != (seed, k, n):
+                raise RuntimeError(f"increments drawn for (seed, step, n) = "
+                                   f"{(seed, k, n)}, asked for {key}")
+            ahead = pool.submit(draw, k + 1)
+            return step(e, model, dt, noise)
+        return record_run(ensemble, advance, t_end=t_end, dt=dt,
+                          observe=observe, stride=stride,
                           stop_condition=stop_condition)

@@ -240,11 +240,11 @@ def test_c07_particle_escape(dawson08):
     for seed in range(8):
         xs = sample_measure(mu_delta, n, seed=seed)
         w1_0 = w1_density(nodes, empirical_cdf(xs, nodes), ref_cdf)
-        obs = {"w1": lambda p: w1_density(nodes, empirical_cdf(p, nodes),
-                                          ref_cdf)}
         # stride counts steps of the default dt: records 8.8e-3 apart
         ts = evolve(make_ensemble(xs, model, seed=seed), model, t_end=40.0,
-                    observers=obs, stride=1,
+                    observe=lambda e: {"w1": w1_density(
+                        nodes, empirical_cdf(e.positions, nodes), ref_cdf)},
+                    stride=1,
                     stop_condition=lambda t, m: abs(m) > 3 * band)
         m = ts["m"]
         out = np.abs(m) > band
@@ -283,8 +283,8 @@ def test_c08_outer_branch_stability(dawson08):
     x, ref_cdf = grid.centers, np.cumsum(ss.rho) * grid.dx
     series = fp_evolve(st, model, grid, t_end=10.0,
                        dt=default_dt(model, grid), stride=40,
-                       observers={"w1": lambda rho: w1_density(
-                           x, np.cumsum(rho) * grid.dx, ref_cdf)})
+                       observe=lambda s: {"w1": w1_density(
+                           x, np.cumsum(s.rho) * grid.dx, ref_cdf)})
     w1 = series["w1"]
     ratio = float(w1.max() / w1[0])
     el = time.perf_counter() - t0

@@ -1,0 +1,62 @@
+"""escape_run's record channels, checked against the engine's start state."""
+import numpy as np
+import pytest
+
+from mvstab.escape import escape_run
+from mvstab.fokkerplanck import (auto_grid, discrete_stationary,
+                                 state_from_density)
+from mvstab.metrics import empirical_cdf, w1_density
+from mvstab.perturb import make_perturbation, sample_measure
+from mvstab.stationary import self_consistent_roots
+
+DELTA = 1e-3
+
+
+@pytest.fixture(scope="module")
+def roots(dawson_sub):
+    return self_consistent_roots(dawson_sub.gibbs.model).roots
+
+
+def first_record(branch, roots, engine, **kw):
+    res = escape_run(branch, roots, engine=engine, delta=DELTA, stride=1,
+                     **kw)
+    return res.series["pairing"][0], res.series["w1"][0]
+
+
+class TestChannelsAtStart:
+    """The first record of each engine is its start state: the pairing
+    with f_star minus the branch's, and W1 to the branch."""
+
+    def test_particles(self, dawson_sub, roots):
+        n, seed = 2000, 3
+        pairing, w1 = first_record(dawson_sub, roots, "particles",
+                                   t_end=0.05, n_particles=n, seed=seed)
+        gibbs = dawson_sub.gibbs
+        nodes = gibbs.rule.nodes
+        fstar = dawson_sub.fstar_at(nodes)
+        _, mu_delta = make_perturbation(dawson_sub, DELTA)
+        xs = sample_measure(mu_delta, n, seed=seed)
+        assert pairing == pytest.approx(
+            np.mean(np.interp(xs, nodes, fstar)) - gibbs.moment(fstar),
+            rel=1e-12)
+        assert w1 == pytest.approx(
+            w1_density(nodes, empirical_cdf(xs, nodes), gibbs.cdf),
+            rel=1e-12)
+
+    def test_fp(self, dawson_sub, roots):
+        n_cells = 200
+        pairing, w1 = first_record(dawson_sub, roots, "fp", t_end=0.02,
+                                   n_cells=n_cells)
+        model = dawson_sub.gibbs.model
+        grid = auto_grid(model, m_values=tuple(roots) + (0.0,),
+                         n_cells=n_cells)
+        x, dx = grid.centers, grid.dx
+        ss = discrete_stationary(model, grid, dawson_sub.gibbs.m)
+        spec, _ = make_perturbation(dawson_sub, DELTA)
+        rho0 = state_from_density(ss.rho * (1.0 + DELTA * spec.g_M_at(x)),
+                                  model, grid).rho
+        assert pairing == pytest.approx(
+            np.dot(dawson_sub.fstar_at(x), rho0 - ss.rho) * dx, rel=1e-12)
+        assert w1 == pytest.approx(
+            w1_density(x, np.cumsum(rho0) * dx, np.cumsum(ss.rho) * dx),
+            rel=1e-12)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -264,8 +266,8 @@ class TestEvolve:
         fstar_grid = dawson_sub.fstar_at(grid.centers)
         fstar_inf = float(np.dot(fstar_grid, ss.rho) * grid.dx)
         ts = fp_evolve(st, dawson08, grid, t_end=40.0, dt=1e-3, stride=20,
-                       observers={"fstar": lambda rho: float(
-                           np.dot(fstar_grid, rho) * grid.dx)},
+                       observe=lambda s: {"fstar": float(
+                           np.dot(fstar_grid, s.rho) * grid.dx)},
                        stop_condition=lambda t, m: abs(m) > 0.05)
         pair = np.abs(ts["fstar"] - fstar_inf)
         c0 = pair[0]
@@ -275,15 +277,15 @@ class TestEvolve:
         assert abs(rate - lam) / lam < 0.10
 
     def test_density_observers(self, dawson08):
-        # observers see the cell density at every record, as the particle
-        # engine's observers see the positions
+        # the observation reads the FP state at every record, as the
+        # particle engine's reads the ensemble
         grid = FpGrid(L=5.0, n_cells=300)
         st = init_from_model(dawson08, grid, 0.0)
         x = grid.centers
         ts = fp_evolve(st, dawson08, grid, t_end=0.05, dt=1e-3, stride=10,
-                       observers={"mass": lambda rho: rho.sum() * grid.dx,
-                                  "g": lambda rho: np.dot(dawson08.g(x), rho)
-                                  * grid.dx})
+                       observe=lambda s: {
+                           "mass": s.rho.sum() * grid.dx,
+                           "g": np.dot(dawson08.g(x), s.rho) * grid.dx})
         assert ts.times.size == 6
         assert np.allclose(ts["mass"], 1.0, atol=1e-12)
         assert np.abs(ts["g"] - ts["m"]).max() < 1e-12
@@ -301,6 +303,18 @@ class TestDefaults:
         grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=800)
         dt = default_dt(dawson08, grid)
         assert 0 < dt < 0.1
+
+    def test_default_dt_rejects_nonfinite_log_density(self):
+        # a NaN cell near x = 1 is named, not a reason to take max|b|
+        # over every cell (6.18e-4 where the occupied region gives 3.09e-3)
+        mdl = dawson_model(beta=1.0, sigma=0.7)
+        grid = FpGrid(L=4.0, n_cells=800)
+        x_bad = grid.centers[np.argmin(np.abs(grid.centers - 1.0))]
+        holed = replace(mdl, log_gibbs0=lambda x: np.where(
+            x == x_bad, np.nan, mdl.log_gibbs0(x)))
+        assert default_dt(mdl, grid) == pytest.approx(3.09e-3, rel=2e-3)
+        with pytest.raises(ValueError, match=f"not finite at x={x_bad:g}"):
+            default_dt(holed, grid)
 
     def test_auto_grid_buffer(self, dawson08):
         grid = auto_grid(dawson08, m_values=(0.0,), n_cells=400)

@@ -119,16 +119,17 @@ def count_run(t_end, dt=0.5, **kw):
     """record_run on a trivial state whose m counts the steps taken."""
     return record_run(SimpleNamespace(t=0.0, m=0),
                       lambda c: SimpleNamespace(t=c.t + dt, m=c.m + 1),
-                      t_end=t_end, dt=dt, view=lambda c: np.array([c.m]),
-                      **kw)
+                      t_end=t_end, dt=dt, **kw)
 
 
 class TestRecordRun:
     def test_records_every_stride_and_the_last_step(self):
-        ts = count_run(5.0, stride=3, observers={"twice": lambda v: 2 * v})
+        ts = count_run(5.0, stride=3,
+                       observe=lambda c: {"twice": np.array([2 * c.m])})
         assert ts["m"].tolist() == [0, 3, 6, 9, 10]
         assert ts.times.tolist() == [0.0, 1.5, 3.0, 4.5, 5.0]
-        # observers read the view and keep whatever they return
+        # each key of the observation is a channel holding whatever
+        # the observation gave at that record
         assert ts["twice"].tolist() == [[0], [6], [12], [18], [20]]
 
     def test_stop_condition_asked_at_records_only(self):

@@ -8,8 +8,8 @@ from mvstab import particles
 from mvstab.metrics import record_run
 from mvstab.model import (ScalarMeanFieldModel, cosine_model, dawson_model,
                           rescaled_double_well_model)
-from mvstab.particles import (BlowUpError, NoiseAhead, apply_step, evolve,
-                              make_ensemble, relaxation_dt_bound, step)
+from mvstab.particles import (BlowUpError, apply_step, evolve, make_ensemble,
+                              relaxation_dt_bound, step)
 from mvstab.perturb import sample_measure
 from mvstab.stationary import build_gibbs
 
@@ -134,7 +134,8 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         xs = np.linspace(-1, 1, 100)
         ts = evolve(make_ensemble(xs, mdl, seed=1), mdl, t_end=0.05,
-                    observers={"x2": lambda p: float(np.mean(p * p))},
+                    observe=lambda e: {
+                        "x2": float(np.mean(e.positions * e.positions))},
                     stride=5)
         assert "x2" in ts.channels
         assert ts["x2"][0] == pytest.approx(np.mean(xs ** 2))
@@ -162,11 +163,11 @@ class TestNoiseAhead:
 
     @staticmethod
     def last_positions(store):
-        # an observer that keeps the array it is shown
-        def obs(p):
-            store["positions"] = p
-            return float(np.mean(p * p))
-        return obs
+        # an observation that keeps the positions it is shown
+        def observe(e):
+            p = store["positions"] = e.positions
+            return {"x2": float(np.mean(p * p))}
+        return observe
 
     @pytest.mark.parametrize("mdl", [dawson_model(beta=1.0, sigma=0.7),
                                      cosine_model(beta=2.0)],
@@ -183,11 +184,10 @@ class TestNoiseAhead:
         stop_condition = ((lambda t, m: t > 11 * dt) if stop else None)
         got, want = {}, {}
         a = evolve(ens, mdl, t_end=60 * dt, dt=dt, stride=stride,
-                   observers={"x2": self.last_positions(got)},
+                   observe=self.last_positions(got),
                    stop_condition=stop_condition)
         b = record_run(ens, lambda e: step(e, mdl, dt), t_end=60 * dt,
-                       dt=dt, view=lambda e: e.positions,
-                       observers={"x2": self.last_positions(want)},
+                       dt=dt, observe=self.last_positions(want),
                        stride=stride, stop_condition=stop_condition)
         assert a.times[-1] < 59 * dt if stop else a.times.size > 2
         assert np.array_equal(a.times, b.times)
@@ -205,12 +205,19 @@ class TestNoiseAhead:
         assert np.array_equal(step(ens, mdl, 1e-3).positions,
                               step(ens, mdl, 1e-3, noise).positions)
 
-    def test_take_checks_the_key(self):
+    def test_evolve_checks_the_key(self, monkeypatch):
+        # a step that returns its ensemble one step index ahead asks for
+        # increments other than the ones drawn for it
         mdl = dawson_model(beta=1.0, sigma=0.7)
         ens = make_ensemble(np.zeros(100), mdl, seed=1)
-        with NoiseAhead(ens) as ahead:
-            with pytest.raises(RuntimeError, match="drawn for"):
-                ahead.take(replace(ens, step_index=1))
+        real = particles.step
+
+        def skipping(e, *args):
+            new = real(e, *args)
+            return replace(new, step_index=new.step_index + 1)
+        monkeypatch.setattr(particles, "step", skipping)
+        with pytest.raises(RuntimeError, match="drawn for"):
+            evolve(ens, mdl, t_end=0.05)
 
     @staticmethod
     def run_joined(fn, timeout=120.0):
@@ -257,9 +264,9 @@ class TestNoiseAhead:
                 return real(seed, k, n, out=out)
             monkeypatch.setattr(particles, "step_noise", failing)
         elif end == "observer":
-            def observer(p):
+            def observe(e):
                 raise err
-            kw["observers"] = {"bad": observer}
+            kw["observe"] = observe
 
         def run():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -289,15 +296,16 @@ class TestAgainstMeanFieldOracle:
         grid = FpGrid(L=12.0, n_cells=1200)
         st = init_from_model(mdl, grid, m_start)
         x = grid.centers
-        ref = fp_evolve(st, mdl, grid, t_end=1.0, dt=5e-4, observers={
-            "mean_x": lambda rho: np.dot(x, rho) * grid.dx})
+        ref = fp_evolve(st, mdl, grid, t_end=1.0, dt=5e-4, observe=lambda s: {
+            "mean_x": np.dot(x, s.rho) * grid.dx})
         target = ref["mean_x"][-1]
 
         g = build_gibbs(mdl, m_start)
         n = 400_000
         xs = sample_measure(g, n, seed=17)
         ts = evolve(make_ensemble(xs, mdl, seed=17), mdl, t_end=1.0, dt=0.002,
-                    stride=100, observers={"mean_x": np.mean})
+                    stride=100,
+                    observe=lambda e: {"mean_x": np.mean(e.positions)})
         se = 1.0 / np.sqrt(n)      # frozen-law std is exactly 1
         assert abs(ts["mean_x"][-1] - target) < 4 * se
 
