@@ -281,8 +281,7 @@ def cmd_stationary(cfg: ExperimentConfig) -> int:
                              grid_spec=cfg.grid_spec())
     ms = np.linspace(*rep.scan_range, min(cfg.n_scan, 401))
     files = [write_csv(cfg.directory, "psi.csv", ["m", "psi"],
-                       [ms, np.array([psi(model, m, rule=rep.rule)
-                                      for m in ms])])]
+                       [ms, np.array([psi(rep.family, m) for m in ms])])]
     files.append(write_report(cfg.directory, "stationary.json", {
         "command": "stationary",
         "model": _model_block(model),

@@ -10,6 +10,9 @@ branch changes character.
 
 A law on the grid is a ``GridMeasure`` (rule and density, one checked
 ``moment``, a ``cdf`` computed on read); ``GibbsMeasure`` adds model, m.
+A ``GibbsFamily`` holds log_gibbs0, v and g at the nodes of one rule,
+computed once; only the tilt, the normalization and the tail check run
+per m, so a psi scan on one rule reuses the family.
 
 Since m enters only through that tilt, psi'(m) = kappa Cov_m(v, g) - 1
 = S0(m) - 1 at every m for any model, so S0 grades a branch and also
@@ -18,7 +21,7 @@ flags a fold (|S0 - 1| < 1e-6) without differentiating psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +31,15 @@ from .numerics import QuadratureRule, composite_gauss_legendre, find_roots
 
 class TruncationError(ValueError):
     """The quadrature domain truncates too much stationary mass."""
+
+
+def _require_finite(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Return the observable values, or name the first node where one is
+    not finite."""
+    if np.any(~np.isfinite(vals)):
+        i = int(np.argmax(~np.isfinite(vals)))
+        raise ValueError(f"observable is not finite at node x={nodes[i]!r}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -102,10 +114,7 @@ class GridMeasure:
     def moment(self, f) -> float:
         """Quadrature integral of f against the measure."""
         vals = f(self.rule.nodes) if callable(f) else np.asarray(f, dtype=float)
-        if np.any(~np.isfinite(vals)):
-            i = int(np.argmax(~np.isfinite(vals)))
-            raise ValueError(
-                f"observable is not finite at node x={self.rule.nodes[i]!r}")
+        _require_finite(vals, self.rule.nodes)
         return float(np.dot(self.rule.weights * self.density, vals))
 
     @property
@@ -125,54 +134,101 @@ class GibbsMeasure(GridMeasure):
     m: float
 
 
-def build_gibbs(model: ScalarMeanFieldModel, m: float,
-                grid_spec: GridSpec | None = None,
-                rule: QuadratureRule | None = None) -> GibbsMeasure:
-    """Normalize exp(log_gibbs(., m)) on a quadrature grid.
+@dataclass(frozen=True)
+class GibbsFamily:
+    """The tilt family mu_m ~ exp(log_gibbs0 + kappa m v) on one rule.
 
-    Normalization goes through a log-sum-exp shift so very peaked
-    densities do not underflow.  A pre-built rule can be passed to share
-    one grid across many m values.
+    log_gibbs0, the coupling v and the observable g are evaluated at the
+    nodes once, and g is checked finite once.  ``at(m)`` forms the same
+    log-density as ``model.log_gibbs``, float for float, then normalizes
+    it and checks the truncated tail mass: the only steps that depend
+    on m.
     """
+
+    model: ScalarMeanFieldModel
+    rule: QuadratureRule
+    lg0: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    g: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        x = self.rule.nodes
+        object.__setattr__(self, "lg0", self.model.log_gibbs0(x))
+        object.__setattr__(self, "v", self.model.coupling_v(x))
+        object.__setattr__(self, "g", _require_finite(self.model.g(x), x))
+
+    def at(self, m: float) -> GibbsMeasure:
+        """Normalize exp(log_gibbs(., m)) on the rule.
+
+        Normalization goes through a log-sum-exp shift so very peaked
+        densities do not underflow.  A boundary density whose estimated
+        tail mass exceeds 1e-10 on either side raises TruncationError.
+        """
+        x = self.rule.nodes
+        lg = self.lg0 + (self.model.kappa * float(m)) * self.v
+        shift = lg.max()
+        w = np.exp(lg - shift)
+        z = float(np.dot(self.rule.weights, w))
+        density = w / z
+
+        # Exponential-tail estimate of the mass lost to truncation: density
+        # at the boundary divided by the local log-density decay rate.
+        for side in (0, -1):
+            i2 = 1 if side == 0 else -2
+            slope = abs((lg[i2] - lg[side]) / (x[i2] - x[side]))
+            tail = density[side] / max(slope, 1e-3)
+            if tail > 1e-10:
+                raise TruncationError(
+                    f"estimated tail mass {tail:.2e} at x={x[side]:.3g} "
+                    f"exceeds 1e-10; enlarge the truncation half-width")
+
+        return GibbsMeasure(rule=self.rule, density=density,
+                            model=self.model, m=float(m))
+
+    def indicator(self, m: float) -> float:
+        """Covariance indicator S0 = kappa Cov_mu_m(v, g) at any m."""
+        gibbs = self.at(m)
+        return self.model.kappa * (gibbs.moment(self.v * self.g)
+                                   - gibbs.moment(self.v)
+                                   * gibbs.moment(self.g))
+
+
+def _family(model: ScalarMeanFieldModel, m: float,
+            grid_spec: GridSpec | None = None,
+            rule: QuadratureRule | None = None) -> GibbsFamily:
+    """The family on ``rule``, or on a rule fitted to m from the spec."""
     if rule is None:
         grid_spec = grid_spec or GridSpec()
         if grid_spec.n_nodes < 256:
             raise ValueError("grid resolution must be at least 256 nodes")
         rule = make_rule(model, grid_spec, m_values=(m,))
-    x = rule.nodes
-    lg = model.log_gibbs(x, float(m))
-    shift = lg.max()
-    w = np.exp(lg - shift)
-    z = float(np.dot(rule.weights, w))
-    density = w / z
-
-    # Exponential-tail estimate of the mass lost to truncation: density at
-    # the boundary divided by the local log-density decay rate.
-    for side in (0, -1):
-        i2 = 1 if side == 0 else -2
-        slope = abs((lg[i2] - lg[side]) / (x[i2] - x[side]))
-        tail = density[side] / max(slope, 1e-3)
-        if tail > 1e-10:
-            raise TruncationError(
-                f"estimated tail mass {tail:.2e} at x={x[side]:.3g} exceeds "
-                f"1e-10; enlarge the truncation half-width")
-
-    return GibbsMeasure(rule=rule, density=density, model=model, m=float(m))
+    return GibbsFamily(model, rule)
 
 
-def psi(model: ScalarMeanFieldModel, m: float,
+def build_gibbs(model: ScalarMeanFieldModel, m: float,
+                grid_spec: GridSpec | None = None,
+                rule: QuadratureRule | None = None) -> GibbsMeasure:
+    """Gibbs law mu_m on a quadrature grid (``GibbsFamily.at``).
+
+    A pre-built rule can be passed to share one grid across many m
+    values; otherwise the grid spec's rule is fitted to m.
+    """
+    return _family(model, m, grid_spec, rule).at(m)
+
+
+def psi(model: ScalarMeanFieldModel | GibbsFamily, m: float,
         grid_spec: GridSpec | None = None,
         rule: QuadratureRule | None = None) -> float:
-    """Self-consistency residual psi(m) = mu_m(g) - m."""
-    gm = build_gibbs(model, m, grid_spec=grid_spec, rule=rule)
-    return gm.moment(model.g) - float(m)
+    """Self-consistency residual psi(m) = mu_m(g) - m.
 
-
-def _raw_indicator(model: ScalarMeanFieldModel, gibbs: GibbsMeasure) -> float:
-    """Covariance indicator kappa Cov_mu(v, g) at any m."""
-    v, g = model.coupling_v(gibbs.rule.nodes), model.g(gibbs.rule.nodes)
-    return model.kappa * (gibbs.moment(v * g)
-                          - gibbs.moment(v) * gibbs.moment(g))
+    Given a ``GibbsFamily`` in place of the model, psi reuses its node
+    arrays and rule.
+    """
+    family = (model if isinstance(model, GibbsFamily)
+              else _family(model, m, grid_spec, rule))
+    gibbs = family.at(m)
+    return float(np.dot(family.rule.weights * gibbs.density,
+                        family.g)) - float(m)
 
 
 def stability_indicator(model: ScalarMeanFieldModel, m_root: float) -> float:
@@ -182,13 +238,13 @@ def stability_indicator(model: ScalarMeanFieldModel, m_root: float) -> float:
     unstable branch; S0 = 1 + psi'(m_root) for any model, by the tilt.
     A root off by more than 1e-8 in psi is rejected.
     """
-    gibbs = build_gibbs(model, m_root)
-    resid = gibbs.moment(model.g) - float(m_root)
+    family = _family(model, m_root)
+    resid = psi(family, m_root)
     if abs(resid) > 1e-8:
         raise ValueError(
             f"m={m_root!r} is not self-consistent: |psi| = {abs(resid):.2e} "
             "> 1e-08")
-    return _raw_indicator(model, gibbs)
+    return family.indicator(m_root)
 
 
 # Default psi scan ranges: the fixed-point map is bounded by ~1 for the
@@ -204,13 +260,13 @@ _SCAN_RANGES = {
 @dataclass(frozen=True)
 class SelfConsistencyReport:
     """Stationary branches with their indicators S0, the scan window the
-    search used and its quadrature rule.  A root is a fold where
-    |S0 - 1| < 1e-6, because psi' = S0 - 1 there."""
+    search used and the Gibbs family on its quadrature rule.  A root is
+    a fold where |S0 - 1| < 1e-6, because psi' = S0 - 1 there."""
 
     roots: list[float]
     s0_per_root: list[float]
     scan_range: tuple[float, float]
-    rule: QuadratureRule
+    family: GibbsFamily
 
     @property
     def branch_count(self) -> int:
@@ -231,21 +287,21 @@ def self_consistent_roots(model: ScalarMeanFieldModel,
     Roots are bisected to 1e-10 in m and graded by S0.  Since
     psi' = S0 - 1, a root with |S0 - 1| < 1e-6 is flagged as a fold: at
     a branch merger bisection cannot separate the coincident zeros, so
-    the degenerate root is reported once.  The report carries the scan
-    window (the model's default when none is given) and the rule.
+    the degenerate root is reported once.  One Gibbs family serves the
+    scan, the bisection and the indicators.  The report carries the scan
+    window (the model's default when none is given) and the family.
     """
     scan_range = scan_range or _SCAN_RANGES.get(model.name, (-3.0, 3.0))
     grid_spec = grid_spec or GridSpec()
     if model.symmetric and not (scan_range[0] < 0.0 < scan_range[1]):
         raise ValueError("scan range must contain 0 for a symmetric model")
-    rule = make_rule(model, grid_spec,
-                     m_values=(scan_range[0], 0.0, scan_range[1]))
-    roots = find_roots(lambda m: psi(model, m, rule=rule), scan_range,
+    family = GibbsFamily(model, make_rule(
+        model, grid_spec, m_values=(scan_range[0], 0.0, scan_range[1])))
+    roots = find_roots(lambda m: psi(family, m), scan_range,
                        n_scan=n_scan, tol=1e-10)
-    s0 = [_raw_indicator(model, build_gibbs(model, r, rule=rule))
-          for r in roots]
+    s0 = [family.indicator(r) for r in roots]
     return SelfConsistencyReport(roots=roots, s0_per_root=s0,
-                                 scan_range=scan_range, rule=rule)
+                                 scan_range=scan_range, family=family)
 
 
 def critical_sigma(model: ScalarMeanFieldModel,
@@ -266,7 +322,7 @@ def critical_sigma(model: ScalarMeanFieldModel,
     def s0(sig):
         mdl = model.with_params(sigma=sig)
         rule = make_rule(mdl, grid_spec, m_values=(0.0,))
-        return _raw_indicator(mdl, build_gibbs(mdl, 0.0, rule=rule))
+        return GibbsFamily(mdl, rule).indicator(0.0)
 
     roots = find_roots(lambda s: s0(s) - 1.0, sigma_range, 41, 1e-10)
     return roots[0] if roots else None

@@ -59,11 +59,10 @@ def dawson08():
 
 
 def cosine_psi_roots(model, n_scan=2001):
-    from mvstab.stationary import make_rule
-    rule = make_rule(model, GridSpec(panel_degree=60),
-                     m_values=(-1.0, 0.0, 1.0))
-    return find_roots(lambda m: psi(model, m, rule=rule),
-                      (-1.0, 1.0), n_scan, 1e-12)
+    from mvstab.stationary import GibbsFamily, make_rule
+    family = GibbsFamily(model, make_rule(model, GridSpec(panel_degree=60),
+                                          m_values=(-1.0, 0.0, 1.0)))
+    return find_roots(lambda m: psi(family, m), (-1.0, 1.0), n_scan, 1e-12)
 
 
 @pytest.fixture(scope="module")

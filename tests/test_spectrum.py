@@ -10,8 +10,9 @@ from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              coupling_vectors, dirichlet_matrix,
                              full_generator_matrix, linearized_propagate,
                              secular_function, solve_secular)
-from mvstab.stationary import (GridSpec, _raw_indicator, build_gibbs,
-                               self_consistent_roots, stability_indicator)
+from mvstab.stationary import (GibbsFamily, GridSpec, build_gibbs,
+                               make_rule, self_consistent_roots,
+                               stability_indicator)
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -369,7 +370,8 @@ def dawson_pitchfork():
 
     def s0(sig):
         mdl = dawson_model(beta=1.0, sigma=sig)
-        return _raw_indicator(mdl, build_gibbs(mdl, 0.0))
+        return GibbsFamily(mdl, make_rule(mdl, GridSpec(), (0.0,))
+                           ).indicator(0.0)
 
     mdl = dawson_model(beta=1.0, sigma=sc)
     gibbs = build_gibbs(mdl, 0.0)

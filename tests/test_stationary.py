@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import find_roots
-from mvstab.stationary import (GridSpec, TruncationError, _raw_indicator,
+from mvstab.stationary import (GibbsFamily, GridSpec, TruncationError,
                                auto_half_width, build_gibbs, critical_sigma,
-                               psi, self_consistent_roots,
+                               make_rule, psi, self_consistent_roots,
                                stability_indicator)
 
 # bisection value, cross-checked against the closed form
@@ -104,6 +106,44 @@ class TestMoment:
             g.moment(vals)
 
 
+MODELS = [dawson_model(1.0, 0.7), cosine_model(),
+          rescaled_double_well_model(1.0, 0.7)]
+
+
+class TestGibbsFamily:
+    @pytest.mark.parametrize("mdl", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("m", [-0.5, 0.0, 0.7])
+    def test_bit_identical_to_direct_normalization(self, mdl, m):
+        # the cached arrays must give the floats of log_gibbs itself
+        rule = make_rule(mdl, GridSpec(), (-0.5, 0.0, 0.7))
+        fam = GibbsFamily(mdl, rule)
+        lg = mdl.log_gibbs(rule.nodes, m)
+        w = np.exp(lg - lg.max())
+        ref = w / float(np.dot(rule.weights, w))
+        np.testing.assert_array_equal(fam.at(m).density, ref)
+        np.testing.assert_array_equal(build_gibbs(mdl, m, rule=rule).density,
+                                      ref)
+        direct = float(np.dot(rule.weights * ref, mdl.g(rule.nodes))) - m
+        np.testing.assert_array_equal(psi(fam, m), direct)
+        np.testing.assert_array_equal(psi(mdl, m, rule=rule), psi(fam, m))
+
+    def test_truncation_check_fires_inside_the_scan(self):
+        with pytest.raises(TruncationError, match="enlarge") as exc:
+            self_consistent_roots(dawson_model(1.0, 0.9),
+                                  grid_spec=GridSpec(L=1.0))
+        assert any(e.name == "find_roots" for e in exc.traceback)
+
+    def test_nonfinite_observable_names_node(self):
+        mdl = dataclasses.replace(dawson_model(1.0, 0.6), g=np.log)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(ValueError,
+                               match="observable is not finite at node x="):
+                self_consistent_roots(mdl)
+            with pytest.raises(ValueError,
+                               match="observable is not finite at node x="):
+                psi(mdl, 0.3)
+
+
 class TestPsi:
     def test_zero_at_origin_for_symmetric(self):
         for mdl in (dawson_model(1.0, 0.6),
@@ -190,8 +230,8 @@ class TestStabilityIndicator:
         # finite-difference oracle for the identity S0 = 1 + psi'(m),
         # which the tilt makes hold at the roots and off them alike
         rep = self_consistent_roots(mdl)
-        off = [(m, _raw_indicator(mdl, build_gibbs(mdl, m)))
-               for m in (-0.6, 0.3, 0.9)]
+        off = [(m, GibbsFamily(mdl, make_rule(mdl, GridSpec(), (m,)))
+                .indicator(m)) for m in (-0.6, 0.3, 0.9)]
         h = 1e-5
         for r, s0 in [*zip(rep.roots, rep.s0_per_root), *off]:
             dpsi = (psi(mdl, r + h) - psi(mdl, r - h)) / (2 * h)
