@@ -96,8 +96,7 @@ CONFIG_KEYS = {
     "perturbation": {
         "delta": (_positive(float, "nonnegative", zero_ok=True), "1e-3"),
         "M": (_auto(_finite(float)), "auto"),
-        "direction": (_choice("adjoint-re", "adjoint-im", "custom-file"),
-                      "adjoint-re"),
+        "direction": (_choice("adjoint-re", "custom-file"), "adjoint-re"),
         "custom_file": (_optional(str), None)},
     "simulation": {"engine": (_choice("fp", "particles"), "fp"),
                    "n_particles": (_count, "100000"),
@@ -334,8 +333,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
             "S0": float(svals[0]),      # S at lams[0] = 0
             "lambda_star": None if mode.lambda_star is None
             else float(mode.lambda_star),
-            "lambda0": {"re": float(mode.lambda0.real),
-                        "im": float(mode.lambda0.imag)},
+            "lambda0": {"re": mode.lambda0, "im": 0.0},
             "k0": mode.k0,
             "verdict": mode.verdict,
             "f_star": None if mode.f_star is None

@@ -1,8 +1,10 @@
 """Shared numerical kernels.
 
-Quadrature on a truncated real line, bracketed root finding, dense
-eigensolves (symmetric and general), and exponential-rate fitting.
-Everything operates on plain numpy arrays; the only module state is a
+Quadrature on a truncated real line, bracketed root finding, the dense
+symmetric eigensolve, and exponential-rate fitting.  ``dense_spectrum``,
+the general (nonsymmetric) eigensolve, is no longer on the pipeline's
+path: the tests keep it as the independent reference for the spectral
+chain's structured secular solve.  Everything operates on plain numpy arrays; the only module state is a
 cache of Gauss-Legendre panel rules, so all functions are safe to call
 concurrently.
 """
@@ -162,7 +164,8 @@ class DenseSpectrum:
 
 
 def dense_spectrum(M: np.ndarray) -> DenseSpectrum:
-    """Complex eigenvalues with unit left eigenvectors.
+    """Complex eigenvalues with unit left eigenvectors (a reference for
+    tests; ``spectrum.unstable_mode`` does not call it).
 
     For real M the left eigenvectors are the conjugated right
     eigenvectors of M^T: M^T v = lambda v gives conj(v)^H M =

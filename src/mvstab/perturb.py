@@ -1,7 +1,7 @@
 """Bounded-ratio perturbations of a stationary law and sampling from them.
 
-A direction h (by default the real part of the adjoint eigenvector at
-the dominant eigenvalue, expanded over the polynomial basis) is clamped
+A direction h (by default the adjoint eigenvector at the dominant
+eigenvalue, which is real, expanded over the polynomial basis) is clamped
 to [-M, M] and recentered so it integrates to zero:
 
     g_M = clip(h, -M, M) - mu(clip(h, -M, M)).
@@ -112,13 +112,10 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
                       custom_file: str | None = None):
     """Build the perturbation of a branch along one direction.
 
-    Returns (PerturbationSpec, PerturbedMeasure).  "adjoint-re" and
-    "adjoint-im" take the real or imaginary part of the dominant adjoint
-    eigenvector; "adjoint-im" is only available when the dominant
-    eigenvalue has a genuine imaginary part, since for a real simple
-    eigenvalue that direction degenerates to the unperturbed law.
-    "custom-file" reads h from a CSV file with columns x,h, interpolated
-    linearly onto the quadrature nodes.  ``M=None`` selects
+    Returns (PerturbationSpec, PerturbedMeasure).  "adjoint-re" takes
+    the dominant adjoint eigenvector, which is real.  "custom-file"
+    reads h from a CSV file with columns x,h, interpolated linearly onto
+    the quadrature nodes.  ``M=None`` selects
     ``default_truncation_level``.
     """
     gibbs, basis = branch.gibbs, branch.basis
@@ -129,18 +126,8 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
         h_vals = np.interp(gibbs.rule.nodes, data["x"], data["h"])
         mu = gibbs.rule.weights * gibbs.density
         h_poly = (basis.node_values * mu) @ h_vals
-    else:
-        u = np.asarray(branch.mode.adjoint_vec)
-        if direction == "adjoint-re":
-            coeff_eig = u.real.astype(float)
-        elif direction == "adjoint-im":
-            if not np.iscomplexobj(u) or np.abs(u.imag).max() < 1e-12:
-                raise ValueError(
-                    "the dominant eigenvalue is real, the imaginary-part "
-                    "direction degenerates to the stationary law")
-            coeff_eig = u.imag.astype(float)
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
+    elif direction == "adjoint-re":
+        coeff_eig = np.array(branch.mode.adjoint_vec, dtype=float)
         # constants do not perturb a probability law
         coeff_eig[0] = 0.0
         nrm = np.linalg.norm(coeff_eig)
@@ -149,6 +136,8 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
         coeff_eig /= nrm
         h_poly = branch.spectrum.vectors @ coeff_eig
         h_vals = h_poly @ basis.node_values
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
     if M is None:
         M = default_truncation_level(gibbs, h_vals)
     g_M, gamma = truncate_center(gibbs, h_vals, M)

@@ -3,17 +3,23 @@
 The generator of the frozen dynamics, L f = (sigma^2/2) f'' + b(x, m) f',
 is self-adjoint in L^2(mu_m) through the energy form
 mu(g L f) = -(sigma^2/2) mu(g' f').  We discretize it by Galerkin
-projection on mu_m-orthonormal polynomials, which turns the form into a
-dense symmetric matrix computable by quadrature.  The law-dependence of
-the drift adds the rank-one operator
+projection on mu_m-orthonormal polynomials.  Differentiating their
+three-term recurrence expands each p_k' exactly in the basis, so the
+form is the dense symmetric matrix (sigma^2/2) D D^T with no quadrature
+of derivatives.  The law-dependence of the drift adds the rank-one
+operator
 
     A f = beta * phi(.) * integral(c f' dmu),   phi = g - m,
 
 so in the eigenbasis of L the full linearization is diag(-lambda_j) plus
-a rank-one update.  Its eigenvalues solve the scalar secular equation
-S(lambda) = 1; a positive root lambda_star is the instability rate and
-the associated mode f_star has coefficients beta*phi_j/(lambda_j +
-lambda_star).
+the rank-one update beta phi ell^T.  Its eigenvalues are the roots of
+the secular equation S(lambda) = sum_j a_j/(lambda_j + lambda) = 1, with
+weights a_j = beta ell_j phi_j, and each -lambda_j whose weight vanishes
+(Golub 1973; Bunch, Nielsen & Sorensen 1978).  With weights of one sign
+the dominant root lies alone between known poles, so no nonsymmetric
+eigensolve is needed; a positive root lambda_star is the instability
+rate and the associated mode f_star has coefficients
+beta*phi_j/(lambda_j + lambda_star).
 The Gibbs law enters once, through ``build_basis``; the energy matrix
 and the coupling read it from the basis its polynomials belong to.
 """
@@ -24,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # find_roots stays bound: bench/tests/test_bench_tracer.py looks it up here
-from .numerics import (DenseSpectrum, EigenSystem, dense_spectrum,  # noqa
-                       find_roots, sym_eig)
+from .numerics import EigenSystem, find_roots, sym_eig  # noqa: F401
 from .stationary import GibbsMeasure
 
 
@@ -38,10 +43,11 @@ class SpectralBasis:
         sqrt(beta_sq[k+1]) p_{k+1} = (x - alpha[k]) p_k
                                      - sqrt(beta_sq[k]) p_{k-1},
 
-    ``node_values``/``node_derivs`` hold p_k and p_k' at the quadrature
-    nodes (rows indexed by degree), and ``gibbs`` is the law they are
-    orthonormal under.  Construction runs the plain recurrence and checks
-    the Gram matrix in the discrete inner product against the identity.
+    ``node_values`` holds p_k at the quadrature nodes (rows indexed by
+    degree), and ``gibbs`` is the law they are orthonormal under.
+    Construction runs the plain recurrence and checks the Gram matrix in
+    the discrete inner product against the identity.  Derivatives are
+    not tabulated: ``derivative_matrix`` expands them in the basis.
     """
 
     gibbs: GibbsMeasure
@@ -49,7 +55,6 @@ class SpectralBasis:
     alpha: np.ndarray
     beta_sq: np.ndarray
     node_values: np.ndarray
-    node_derivs: np.ndarray
 
     def eval_at(self, x) -> np.ndarray:
         """Evaluate all basis polynomials at arbitrary points via recurrence."""
@@ -70,6 +75,33 @@ class SpectralBasis:
         coeffs = np.asarray(coeffs)
         return coeffs @ self.eval_at(x)
 
+    def derivative_matrix(self) -> np.ndarray:
+        """D with p_k' = sum_l D[k, l] p_l, so D[k, l] = <p_k', p_l>_mu.
+
+        p_k' has degree k - 1, so D is strictly lower triangular.  Its
+        rows follow from differentiating the recurrence,
+
+            sqrt(beta_sq[k+1]) p_{k+1}' = p_k + (x - alpha[k]) p_k'
+                                          - sqrt(beta_sq[k]) p_{k-1}',
+
+        with x acting on coefficients as the Jacobi matrix of
+        ``alpha`` and ``beta_sq``: O(degree^2) work, no quadrature.
+        """
+        n = self.degree
+        a = self.alpha
+        b = np.sqrt(self.beta_sq)
+        D = np.zeros((n + 1, n + 1))
+        for k in range(n):
+            c = D[k]
+            row = (a - a[k]) * c          # (x - alpha[k]) p_k', diagonal
+            row[1:] += b[1:] * c[:-1]     # ... and its two off-diagonals
+            row[:-1] += b[1:] * c[1:]
+            row[k] += 1.0
+            if k > 0:
+                row -= b[k] * D[k - 1]
+            D[k + 1] = row / b[k + 1]
+        return D
+
 
 def build_basis(gibbs: GibbsMeasure, n: int) -> SpectralBasis:
     """Orthonormal polynomial basis of degree n for L^2(mu_m).
@@ -88,26 +120,20 @@ def build_basis(gibbs: GibbsMeasure, n: int) -> SpectralBasis:
     mu = rule.weights * gibbs.density   # discrete measure, sums to 1
 
     P = np.zeros((n + 1, x.size))
-    dP = np.zeros((n + 1, x.size))
     alpha = np.zeros(n + 1)
     beta_sq = np.zeros(n + 1)
     P[0] = 1.0
     for k in range(n):
         alpha[k] = np.dot(mu, x * P[k] * P[k])
         q = (x - alpha[k]) * P[k]
-        dq = (x - alpha[k]) * dP[k] + P[k]
         if k > 0:
-            sb = np.sqrt(beta_sq[k])
-            q -= sb * P[k - 1]
-            dq -= sb * dP[k - 1]
+            q -= np.sqrt(beta_sq[k]) * P[k - 1]
         beta_sq[k + 1] = np.dot(mu, q * q)
         if not beta_sq[k + 1] > 0:
             raise ValueError(
                 f"basis construction broke down at degree {k + 1}; "
                 "the quadrature grid cannot resolve this degree")
-        sb = np.sqrt(beta_sq[k + 1])
-        P[k + 1] = q / sb
-        dP[k + 1] = dq / sb
+        P[k + 1] = q / np.sqrt(beta_sq[k + 1])
 
     gram = (P * mu) @ P.T
     dev = np.abs(gram - np.eye(n + 1)).max()
@@ -116,15 +142,17 @@ def build_basis(gibbs: GibbsMeasure, n: int) -> SpectralBasis:
             f"orthogonality loss {dev:.2e} in the basis Gram matrix; "
             "increase the quadrature resolution")
     return SpectralBasis(gibbs=gibbs, degree=n, alpha=alpha, beta_sq=beta_sq,
-                         node_values=P, node_derivs=dP)
+                         node_values=P)
 
 
 def dirichlet_matrix(basis: SpectralBasis) -> np.ndarray:
-    """Energy matrix K_ij = (sigma^2/2) mu(p_i' p_j'), mu = basis.gibbs."""
-    gibbs = basis.gibbs
-    mu = gibbs.rule.weights * gibbs.density
-    sig2 = gibbs.model.sigma ** 2
-    K = 0.5 * sig2 * ((basis.node_derivs * mu) @ basis.node_derivs.T)
+    """Energy matrix K_ij = (sigma^2/2) mu(p_i' p_j'), mu = basis.gibbs.
+
+    With p_i' = sum_l D[i, l] p_l and the basis orthonormal under mu,
+    K = (sigma^2/2) D D^T.
+    """
+    D = basis.derivative_matrix()
+    K = 0.5 * basis.gibbs.model.sigma ** 2 * (D @ D.T)
     asym = np.abs(K - K.T).max()
     if asym > 1e-10 * max(1.0, np.abs(K).max()):
         raise ValueError(f"energy-form matrix asymmetry {asym:.2e}")
@@ -178,17 +206,17 @@ class RankOneCoupling:
 def coupling_vectors(basis: SpectralBasis,
                      spectrum: EigenSystem) -> RankOneCoupling:
     """Project the coupling functions on the eigenbasis of -L, under the
-    law mu = basis.gibbs."""
+    law mu = basis.gibbs: first on the polynomial basis, then rotated
+    by the eigenvector columns."""
     gibbs = basis.gibbs
     model = gibbs.model
     x = gibbs.rule.nodes
     mu = gibbs.rule.weights * gibbs.density
-    E = spectrum.vectors.T @ basis.node_values   # eigenfunction node values
 
     phi = model.g(x) - gibbs.m
     v = model.coupling_v(x)
-    phi_hat = E @ (mu * phi)
-    v_hat = E @ (mu * v)
+    phi_hat, v_hat = (spectrum.vectors.T @ (
+        basis.node_values @ np.stack([mu * phi, mu * v], axis=1))).T
     # the mean of phi equals the self-consistency residual at the root,
     # so allow for the root-refinement tolerance before zeroing exactly
     if abs(phi_hat[0]) > 1e-8:
@@ -215,35 +243,33 @@ def secular_function(spectrum: EigenSystem, coupling: RankOneCoupling,
     return float(coupling.beta * np.sum(terms))
 
 
-def solve_secular(spectrum: EigenSystem, coupling: RankOneCoupling,
-                  eigenvalues: np.ndarray) -> float | None:
-    """Largest positive root of S(lambda) = 1, or None.
+def solve_secular(lj: np.ndarray, a: np.ndarray,
+                  bracket: tuple[float, float]) -> float:
+    """The root of S(lambda) = sum_j a_j/(lambda_j + lambda) = 1 inside
+    ``bracket``, whose ends are poles of S or points where S - 1 has the
+    sign of the pole at the other end.
 
-    The positive real ``eigenvalues`` of the Galerkin mass-zero block are
-    the secular roots.  The largest (|Im| <= 1e-8 max(1, |lambda|), real
-    part > 1e-9) starts Newton on S' = -beta sum ell_j phi_j/(lambda_j +
-    lambda)^2, kept in a sign-change bracket of half-width 1e-6.
+    Newton on S' = -sum a_j/(lambda_j + lambda)^2 runs inside the bracket
+    that the signs of S - 1 keep shrinking, with a bisection step
+    wherever Newton would leave it, until |S - 1| <= 1e-14 times the
+    scale of the terms.
     """
-    vals = np.asarray(eigenvalues)
-    real = vals[np.abs(vals.imag) <= 1e-8 * np.maximum(1.0, np.abs(vals))].real
-    if not np.any(real > 1e-9):
-        return None
-    lam = float(real.max())
-    lj = spectrum.values[1:]
-    a = coupling.beta * coupling.ell[1:] * coupling.phi_hat[1:]
-    tol = 1e-14 * max(1.0, float(np.abs(a / (lj + lam)).sum()))
-    lo, hi = max(lam - 1e-6, 0.0), lam + 1e-6
-    if ((secular_function(spectrum, coupling, lo) - 1.0)
-            * (secular_function(spectrum, coupling, hi) - 1.0) > 0):
-        raise ValueError(f"S - 1 keeps its sign within 1e-6 of the "
-                         f"eigenvalue {lam:.6e}; inconsistent discretization")
-    for _ in range(20):
-        res = secular_function(spectrum, coupling, lam) - 1.0
-        if abs(res) <= tol:
-            return float(lam)
-        lam = min(max(lam + res / np.sum(a / (lj + lam) ** 2), lo), hi)
+    lo, hi = bracket
+    rising = a.sum() < 0      # S - 1 runs from -inf or < 0 at lo to + at hi
+    lam = 0.5 * (lo + hi)
+    for _ in range(100):
+        terms = a / (lj + lam)
+        res = float(terms.sum()) - 1.0
+        if abs(res) <= 1e-14 * max(1.0, float(np.abs(terms).sum())):
+            return lam
+        if (res < 0) == rising:
+            lo = lam
+        else:
+            hi = lam
+        step = lam + res / float(np.sum(terms / (lj + lam)))
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
     raise ValueError(f"Newton iteration for the secular root stalled at "
-                     f"|S - 1| = {abs(res):.2e}; inconsistent discretization")
+                     f"|S - 1| = {abs(res):.2e} in [{lo:.6e}, {hi:.6e}]")
 
 
 def full_generator_matrix(spectrum: EigenSystem,
@@ -260,22 +286,21 @@ class UnstableMode:
     """Dominant spectral data of the linearized generator.
 
     ``lambda_star`` is the positive secular root when one exists;
-    ``lambda0`` the dominant (largest real part) eigenvalue of the
-    Galerkin matrix with its cluster multiplicity ``k0`` (the number of
-    eigenvalues within 1e-8 of it).  ``f_star``
-    holds eigenbasis coefficients of the unstable observable (None when
-    no secular root), ``adjoint_vec`` the left eigenvector at lambda0,
+    ``lambda0`` the dominant eigenvalue of the Galerkin mass-zero block,
+    which is real, with its cluster multiplicity ``k0`` (the number of
+    candidate eigenvalues within 1e-8 of it).  ``f_star`` holds
+    eigenbasis coefficients of the unstable observable (None when no
+    secular root), ``adjoint_vec`` the unit left eigenvector at lambda0,
     used as the perturbation direction.  ``verdict`` is "unstable" when
-    the spectral abscissa exceeds 1e-7, else "stable-indicator".
+    lambda0 exceeds 1e-7, else "stable-indicator".
     """
 
     lambda_star: float | None
-    lambda0: complex
+    lambda0: float
     k0: int
     f_star: np.ndarray | None
     adjoint_vec: np.ndarray
     verdict: str
-    abscissa: float
 
 
 def unstable_mode(spectrum: EigenSystem,
@@ -283,39 +308,62 @@ def unstable_mode(spectrum: EigenSystem,
     """Secular root, dominant eigenvalue, unstable observable and adjoint.
 
     The Galerkin matrix splits exactly into the conserved constant mode
-    and the mass-zero block; the dominant eigenvalue, its multiplicity
-    and the adjoint direction are taken on the mass-zero block, which is
-    where signed perturbations of a probability law live.
+    and the mass-zero block diag(-lambda_j) + beta phi ell^T, j >= 1,
+    where signed perturbations of a probability law live.  Weights
+    |a_j| <= 1e-10 max|a| are deflated: -lambda_j is then an eigenvalue.
+    The others must share one sign, else the spectrum may be complex and
+    the branch is refused.  For a > 0 the largest secular root is the
+    one above the first pole -lambda_j1; for a < 0 it lies between the
+    first two poles (or below the only one).  The dominant eigenvalue is
+    the larger of that root and the largest deflated -lambda_j.
     """
-    M = full_generator_matrix(spectrum, coupling)
-    ds: DenseSpectrum = dense_spectrum(M[1:, 1:])
-    vals = ds.values
-    re_max = ds.abscissa
-    top = np.nonzero(vals.real >= re_max - 1e-14 * max(1.0, abs(re_max)))[0]
-    # prefer nonnegative imaginary part for determinism
-    idx = int(top[np.argmax(vals[top].imag)])
-    lam0 = complex(vals[idx])
-    k0 = int(np.sum(np.abs(vals - lam0) < 1e-8))
+    lj = spectrum.values[1:]
+    a = coupling.beta * coupling.ell[1:] * coupling.phi_hat[1:]
+    live = np.abs(a) > 1e-10 * np.abs(a).max()
+    candidates = list(-lj[~live])
+    root = None
+    if live.any():
+        if a[live].min() < 0 < a[live].max():
+            raise ValueError(
+                "secular weights beta ell_j phi_j change sign; the "
+                "linearization may have complex eigenvalues")
+        poles = -np.sort(lj[live])
+        total = float(a[live].sum())
+        if total > 0:
+            bracket = (poles[0], poles[0] + 2.0 * total)
+        else:
+            bracket = (poles[1] if poles.size > 1
+                       else poles[0] + 2.0 * total, poles[0])
+        root = solve_secular(lj, a, bracket)
+        candidates.append(root)
+    lam0 = max(candidates)
+    k0 = sum(abs(c - lam0) < 1e-8 for c in candidates)
 
-    lam_star = solve_secular(spectrum, coupling, vals)
+    lam_star = root if root is not None and root > 1e-9 else None
     f_star = None
     if lam_star is not None:
         f_star = np.zeros_like(coupling.phi_hat)
-        f_star[1:] = (coupling.beta * coupling.phi_hat[1:]
-                      / (spectrum.values[1:] + lam_star))
+        f_star[1:] = coupling.beta * coupling.phi_hat[1:] / (lj + lam_star)
 
-    u = np.zeros(M.shape[0], dtype=ds.left_vectors.dtype)
-    u[1:] = ds.left_vectors[:, idx]
+    # left eigenvector: u_j (lambda_j + lam0) = beta ell_j (u . phi)
+    u = np.zeros_like(coupling.ell)
+    if lam0 == root:
+        u[1:] = coupling.ell[1:] / (lj + lam0)
+    else:
+        # lam0 = -lambda_k, the first deflated pole (lj ascends).  Scaled
+        # to u . phi = phi_k, the other entries follow and u . phi fixes
+        # u_k; the residual left at k is a_k
+        k = int(np.argmax(~live))
+        gap = lj - lj[k]
+        gap[k] = np.inf
+        u[1:] = coupling.beta * coupling.phi_hat[1 + k] * coupling.ell[1:] / gap
+        u[1 + k] = 1.0 - np.sum(a / gap)
     j = int(np.argmax(np.abs(u)))
-    u = u * (np.conj(u[j]) / abs(u[j]))    # rotate largest entry to real+
-    if abs(lam0.imag) < 1e-9:
-        u = u.real
-    u = u / np.linalg.norm(u)
+    u *= np.sign(u[j]) / np.linalg.norm(u)
 
-    verdict = "unstable" if re_max > 1e-7 else "stable-indicator"
-    return UnstableMode(lambda_star=lam_star, lambda0=lam0, k0=k0,
-                        f_star=f_star, adjoint_vec=u, verdict=verdict,
-                        abscissa=re_max)
+    verdict = "unstable" if lam0 > 1e-7 else "stable-indicator"
+    return UnstableMode(lambda_star=lam_star, lambda0=float(lam0), k0=int(k0),
+                        f_star=f_star, adjoint_vec=u, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,8 @@ class GibbsFamily:
     """The tilt family mu_m ~ exp(log_gibbs0 + kappa m v) on one rule.
 
     log_gibbs0, the coupling v and the observable g are evaluated at the
-    nodes once, and g is checked finite once.  ``at(m)`` forms the same
+    nodes once, and g is checked finite once; ``wg`` caches the
+    quadrature weights times g for psi.  ``at(m)`` forms the same
     log-density as ``model.log_gibbs``, float for float, then normalizes
     it and checks the truncated tail mass: the only steps that depend
     on m.
@@ -150,39 +151,45 @@ class GibbsFamily:
     lg0: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
+    wg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = self.rule.nodes
         object.__setattr__(self, "lg0", self.model.log_gibbs0(x))
         object.__setattr__(self, "v", self.model.coupling_v(x))
         object.__setattr__(self, "g", _require_finite(self.model.g(x), x))
+        object.__setattr__(self, "wg", self.rule.weights * self.g)
 
-    def at(self, m: float) -> GibbsMeasure:
-        """Normalize exp(log_gibbs(., m)) on the rule.
+    def _tilt(self, m: float) -> tuple[np.ndarray, float]:
+        """Unnormalized density w at the nodes and its integral z.
 
-        Normalization goes through a log-sum-exp shift so very peaked
-        densities do not underflow.  A boundary density whose estimated
-        tail mass exceeds 1e-10 on either side raises TruncationError.
+        w is exp(log_gibbs(., m)) shifted by its maximum, so very peaked
+        densities do not underflow.  A boundary density w/z whose
+        estimated tail mass exceeds 1e-10 on either side raises
+        TruncationError.
         """
         x = self.rule.nodes
         lg = self.lg0 + (self.model.kappa * float(m)) * self.v
         shift = lg.max()
         w = np.exp(lg - shift)
         z = float(np.dot(self.rule.weights, w))
-        density = w / z
 
         # Exponential-tail estimate of the mass lost to truncation: density
         # at the boundary divided by the local log-density decay rate.
         for side in (0, -1):
             i2 = 1 if side == 0 else -2
             slope = abs((lg[i2] - lg[side]) / (x[i2] - x[side]))
-            tail = density[side] / max(slope, 1e-3)
+            tail = w[side] / z / max(slope, 1e-3)
             if tail > 1e-10:
                 raise TruncationError(
                     f"estimated tail mass {tail:.2e} at x={x[side]:.3g} "
                     f"exceeds 1e-10; enlarge the truncation half-width")
+        return w, z
 
-        return GibbsMeasure(rule=self.rule, density=density,
+    def at(self, m: float) -> GibbsMeasure:
+        """Normalize exp(log_gibbs(., m)) on the rule (``_tilt``)."""
+        w, z = self._tilt(m)
+        return GibbsMeasure(rule=self.rule, density=w / z,
                             model=self.model, m=float(m))
 
     def indicator(self, m: float) -> float:
@@ -222,13 +229,13 @@ def psi(model: ScalarMeanFieldModel | GibbsFamily, m: float,
     """Self-consistency residual psi(m) = mu_m(g) - m.
 
     Given a ``GibbsFamily`` in place of the model, psi reuses its node
-    arrays and rule.
+    arrays and rule.  The law is not normalized node by node: psi
+    divides the one sum by the tilt's integral.
     """
     family = (model if isinstance(model, GibbsFamily)
               else _family(model, m, grid_spec, rule))
-    gibbs = family.at(m)
-    return float(np.dot(family.rule.weights * gibbs.density,
-                        family.g)) - float(m)
+    w, z = family._tilt(m)
+    return float(np.dot(family.wg, w)) / z - float(m)
 
 
 def stability_indicator(model: ScalarMeanFieldModel, m_root: float) -> float:

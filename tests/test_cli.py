@@ -189,7 +189,8 @@ class TestConfig:
         ("stationary", "scan_min", "-inf"), ("stationary", "scan_max", "nan"),
         ("stationary", "scan_min", "4"), ("spectrum", "root", "nan"),
         ("spectrum", "root", "inf"), ("perturbation", "M", "nan"),
-        ("perturbation", "M", "inf"), ("simulation", "seed", "-1")])
+        ("perturbation", "M", "inf"), ("simulation", "seed", "-1"),
+        ("perturbation", "direction", "adjoint-im")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
         path = Path(write_cfg(tmp_path, t_end=0.5))

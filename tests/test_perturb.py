@@ -135,10 +135,6 @@ class TestPerturbedMeasure:
 
 
 class TestMakePerturbation:
-    def test_imaginary_direction_degenerates_for_real_mode(self, dawson_sub):
-        with pytest.raises(ValueError, match="degenerates"):
-            make_perturbation(dawson_sub, delta=1e-3, direction="adjoint-im")
-
     def test_gamma_check_small_for_adjoint(self, setup):
         s, spec, _ = setup
         # direction is normalized in L2, so the target is 1 percent of 1

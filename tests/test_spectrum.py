@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mvstab.model import (cosine_model, dawson_model,
+from mvstab.model import (build_model, cosine_model, dawson_model,
                           rescaled_double_well_model)
-from mvstab.numerics import dense_spectrum, find_roots
-from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
-                             coupling_vectors, dirichlet_matrix,
+from mvstab.numerics import EigenSystem, dense_spectrum, find_roots
+from mvstab.spectrum import (RankOneCoupling, analyze_branch, base_spectrum,
+                             build_basis, coupling_vectors, dirichlet_matrix,
                              full_generator_matrix, linearized_propagate,
-                             secular_function, solve_secular)
+                             secular_function, solve_secular, unstable_mode)
 from mvstab.stationary import (GibbsFamily, GridSpec, build_gibbs,
                                make_rule, self_consistent_roots,
                                stability_indicator)
@@ -73,11 +73,12 @@ class TestBuildBasis:
 
     def test_derivative_values(self, cosine_unstable):
         # d/dx He_k = k He_{k-1}, so normalized rows obey
-        # p_k' = sqrt(k) p_{k-1} for a unit Gaussian weight
-        b = cosine_unstable.basis
-        for k in (1, 3, 7):
-            assert np.abs(b.node_derivs[k]
-                          - np.sqrt(k) * b.node_values[k - 1]).max() < 1e-8
+        # p_k' = sqrt(k) p_{k-1} for a unit Gaussian weight: D has
+        # sqrt(k) on its first subdiagonal and nothing else.  Truncation
+        # pollutes the top degrees, so the check covers the lower half.
+        D = cosine_unstable.basis.derivative_matrix()[:21, :21]
+        assert np.abs(np.diag(D, -1) - np.sqrt(np.arange(1, 21))).max() < 1e-8
+        assert np.abs(D - np.diag(np.diag(D, -1), -1)).max() < 1e-8
 
     def test_eval_at_matches_node_values(self, dawson_sub):
         b = dawson_sub.basis
@@ -157,11 +158,20 @@ class TestCouplingVectors:
         assert dawson_sub.coupling.ell[0] == 0.0
 
     def test_ell_against_direct_quadrature(self, dawson_sub):
-        # two-route oracle: ell_j = mu(v' e_j') by direct quadrature
+        # two-route oracle: ell_j = mu(v' e_j') by direct quadrature, with
+        # p_k' tabulated at the nodes by the differentiated recurrence
         s = dawson_sub
+        b = s.basis
         mu = s.gibbs.rule.weights * s.gibbs.density
         x = s.gibbs.rule.nodes
-        dE = s.spectrum.vectors.T @ s.basis.node_derivs
+        P = b.node_values
+        dP = np.zeros_like(P)
+        for k in range(b.degree):
+            dq = (x - b.alpha[k]) * dP[k] + P[k]
+            if k > 0:
+                dq -= np.sqrt(b.beta_sq[k]) * dP[k - 1]
+            dP[k + 1] = dq / np.sqrt(b.beta_sq[k + 1])
+        dE = s.spectrum.vectors.T @ dP
         direct = dE @ (mu * s.gibbs.model.c(x))
         assert np.abs(direct - s.coupling.ell).max() < 1e-8
 
@@ -226,12 +236,13 @@ class TestSecular:
     def test_absent_above_critical(self, dawson_super):
         assert dawson_super.mode.lambda_star is None
 
-    def test_eigenvalue_off_the_curve_rejected(self, dawson_sub):
-        # S - 1 keeps one sign around 50, so no root sits near that
-        # eigenvalue and the discretization is inconsistent
-        with pytest.raises(ValueError, match="inconsistent"):
-            solve_secular(dawson_sub.spectrum, dawson_sub.coupling,
-                          np.array([50.0 + 0j]))
+    def test_bracket_without_root_rejected(self, dawson_sub):
+        # S - 1 keeps one sign on [40, 60], so the safeguarded Newton
+        # iteration shrinks the bracket onto its end without converging
+        sp, cp = dawson_sub.spectrum, dawson_sub.coupling
+        a = cp.beta * cp.ell[1:] * cp.phi_hat[1:]
+        with pytest.raises(ValueError, match="stalled"):
+            solve_secular(sp.values[1:], a, (40.0, 60.0))
 
     @pytest.mark.parametrize("branch", ["dawson_sub", "dawson_super",
                                         "cosine_unstable", "rescaled_sub"])
@@ -339,8 +350,8 @@ class TestUnstableMode:
 
     def test_dominant_eigenvalue_at_least_secular_root(self, dawson_sub):
         m = dawson_sub.mode
-        assert m.lambda0.real >= m.lambda_star - 1e-6
-        assert m.abscissa == pytest.approx(m.lambda_star, abs=1e-9)
+        assert m.lambda0 >= m.lambda_star - 1e-6
+        assert m.lambda0 == pytest.approx(m.lambda_star, abs=1e-9)
 
     def test_simple_dominant_eigenvalue(self, dawson_sub, cosine_unstable):
         for s in (dawson_sub, cosine_unstable):
@@ -357,7 +368,47 @@ class TestUnstableMode:
         m = dawson_sub.mode
         M = full_generator_matrix(dawson_sub.spectrum, dawson_sub.coupling)
         u = m.adjoint_vec
-        assert np.linalg.norm(u @ M - m.lambda0.real * u) < 1e-8
+        assert np.linalg.norm(u @ M - m.lambda0 * u) < 1e-8
+
+    def test_mixed_sign_weights_rejected(self):
+        # a_j = beta ell_j phi_j = (1, -1, 1): the rank-one update is no
+        # longer similar to a symmetric matrix and may have complex roots
+        spectrum = EigenSystem(values=np.arange(4.0), vectors=np.eye(4))
+        coupling = RankOneCoupling(phi_hat=np.array([0.0, 1.0, 1.0, 1.0]),
+                                   v_hat=np.zeros(4),
+                                   ell=np.array([0.0, 1.0, -1.0, 1.0]),
+                                   beta=1.0)
+        with pytest.raises(ValueError, match="change sign"):
+            unstable_mode(spectrum, coupling)
+
+
+STRUCTURED_CASES = [
+    ("dawson", 1.0, 0.8 * SIGMA_C_DAWSON_BETA1),
+    ("dawson", -1.0, 0.8 * SIGMA_C_DAWSON_BETA1),
+    ("rescaled_double_well", 1.0, 0.8 * SIGMA_C_DAWSON_BETA1),
+] + [("cosine", beta, sigma) for beta in (1.0, 4.0, 12.8, -6.0)
+     for sigma in (0.5, 1.0, np.sqrt(2.0))]
+
+
+@pytest.mark.parametrize("name,beta,sigma", STRUCTURED_CASES)
+def test_structured_mode_matches_dense_spectrum(name, beta, sigma):
+    # independent oracle: numpy's nonsymmetric eigensolve of the
+    # mass-zero Galerkin block, on every branch of the setting; stable
+    # cosine branches have the deflated -lambda_2 = -2 as dominant value
+    mdl = build_model(name, beta=beta, sigma=sigma)
+    for m0 in self_consistent_roots(mdl, n_scan=401).roots:
+        br = analyze_branch(build_gibbs(mdl, m0), 120)
+        M = full_generator_matrix(br.spectrum, br.coupling)
+        vals = dense_spectrum(M[1:, 1:]).values
+        lam0 = vals[np.argmax(vals.real)]
+        mode = br.mode
+        assert abs(lam0.imag) < 1e-12
+        assert abs(mode.lambda0 - lam0.real) <= 1e-11
+        assert mode.k0 == np.sum(np.abs(vals - lam0) < 1e-8)
+        assert mode.verdict == ("unstable" if lam0.real > 1e-7
+                                else "stable-indicator")
+        u = mode.adjoint_vec
+        assert np.linalg.norm(u @ M - mode.lambda0 * u) <= 1e-8
 
 
 @pytest.fixture(scope="module")

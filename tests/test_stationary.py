@@ -119,13 +119,18 @@ class TestGibbsFamily:
         fam = GibbsFamily(mdl, rule)
         lg = mdl.log_gibbs(rule.nodes, m)
         w = np.exp(lg - lg.max())
-        ref = w / float(np.dot(rule.weights, w))
+        z = float(np.dot(rule.weights, w))
+        ref = w / z
         np.testing.assert_array_equal(fam.at(m).density, ref)
         np.testing.assert_array_equal(build_gibbs(mdl, m, rule=rule).density,
                                       ref)
-        direct = float(np.dot(rule.weights * ref, mdl.g(rule.nodes))) - m
+        # psi divides one sum by z instead of normalizing node by node
+        g = mdl.g(rule.nodes)
+        direct = float(np.dot(rule.weights * g, w)) / z - m
         np.testing.assert_array_equal(psi(fam, m), direct)
         np.testing.assert_array_equal(psi(mdl, m, rule=rule), psi(fam, m))
+        normalized = float(np.dot(rule.weights * ref, g)) - m
+        assert abs(psi(fam, m) - normalized) <= 1e-15
 
     def test_truncation_check_fires_inside_the_scan(self):
         with pytest.raises(TruncationError, match="enlarge") as exc:
