@@ -135,7 +135,8 @@ def build_basis(gibbs: GibbsMeasure, n: int) -> SpectralBasis:
                 "the quadrature grid cannot resolve this degree")
         P[k + 1] = q / np.sqrt(beta_sq[k + 1])
 
-    gram = (P * mu) @ P.T
+    Q = P * np.sqrt(mu)
+    gram = Q @ Q.T      # numpy runs a Q Q^T product as one syrk call
     dev = np.abs(gram - np.eye(n + 1)).max()
     if not dev <= 1e-8:
         raise ValueError(

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mvstab.model import (build_model, cosine_model, dawson_model,
+from mvstab.model import (build_model, dawson_model,
                           rescaled_double_well_model)
 from mvstab.numerics import EigenSystem, dense_spectrum, find_roots
 from mvstab.spectrum import (RankOneCoupling, analyze_branch, base_spectrum,
