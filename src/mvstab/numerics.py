@@ -2,11 +2,11 @@
 
 Quadrature on a truncated real line, bracketed root finding, the dense
 symmetric eigensolve, and exponential-rate fitting.  ``dense_spectrum``,
-the general (nonsymmetric) eigensolve, is no longer on the pipeline's
-path: the tests keep it as the independent reference for the spectral
-chain's structured secular solve.  Everything operates on plain numpy arrays; the only module state is a
-cache of Gauss-Legendre panel rules, so all functions are safe to call
-concurrently.
+the general (nonsymmetric) eigensolve, is off the pipeline's path: the
+tests keep it as the independent reference for the spectral chain's
+structured secular solve.  Everything operates on plain numpy arrays;
+the only module state is a cache of Gauss-Legendre panel rules, so all
+functions are safe to call concurrently.
 """
 from __future__ import annotations
 
