@@ -408,8 +408,10 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
         "w1_at_escape": res.w1_at_escape,
     }
     report.update(dt=res.dt, steps=res.steps)
-    if res.step_error is not None:
-        report["step_error"] = res.step_error
+    if cfg.engine == "fp":
+        report.update(step_error=res.step_error,
+                      fallback_steps=res.fallback_steps,
+                      mass_drift=res.mass_drift)
     files.append(write_report(cfg.directory, "instability.json", report))
     write_manifest(cfg.directory, "instability", files)
     if res.status == "inconclusive":

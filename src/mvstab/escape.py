@@ -24,13 +24,15 @@ class EscapeResult:
     observation of the engine state, with the channels ``m``,
     ``pairing`` (f_star pairing minus its value on the branch) and
     ``w1`` (transport distance to the branch); "fp" adds its
-    ``step_error`` channel.  ``m_center`` is the engine's own branch
-    statistic: the discrete steady state for "fp", the root itself for
-    "particles".  The rate fields are None when ``status`` is
-    "inconclusive".  ``dt`` and ``steps`` describe the run on either
-    engine; ``step_error`` (the largest local error estimate of
-    ``FpStepper.step`` over the run) is the "fp" engine's own and is
-    None for "particles".
+    ``step_error``, ``fallback_steps`` and ``mass_drift`` channels.
+    ``m_center`` is the engine's own branch statistic: the discrete
+    steady state for "fp", the root itself for "particles".  The rate
+    fields are None when ``status`` is "inconclusive".  ``dt`` and
+    ``steps`` describe the run on either engine.  The "fp" engine's own
+    fields are None for "particles": ``step_error``, the largest local
+    error estimate of ``FpStepper.step`` over the run,
+    ``fallback_steps``, the number of its steps that kept the two half
+    steps, and ``mass_drift``, the largest |mass - 1| over the records.
     """
 
     status: str
@@ -45,6 +47,8 @@ class EscapeResult:
     dt: float
     steps: int
     step_error: float | None
+    fallback_steps: int | None
+    mass_drift: float | None
 
 
 def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
@@ -132,8 +136,10 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
             fitted = slope
             lam = branch.mode.lambda_star
             rel_err = abs(fitted - lam) / lam
-    step_error = (float(series["step_error"][-1]) if engine == "fp"
-                  else None)
+    fp = engine == "fp"
+    step_error = float(series["step_error"][-1]) if fp else None
+    fallbacks = int(series["fallback_steps"][-1]) if fp else None
+    mass_drift = float(series["mass_drift"].max()) if fp else None
     return EscapeResult(
         status="inconclusive" if fitted is None else "ok",
         m_center=float(m_center), initial_pairing=float(c0),
@@ -142,4 +148,5 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         w1_at_escape=float(w1[escape][0]) if escape.any() else None,
         final_branch=final_branch, fitted_rate=fitted,
         relative_error=rel_err, dt=dt, steps=int(round(times[-1] / dt)),
-        step_error=step_error)
+        step_error=step_error, fallback_steps=fallbacks,
+        mass_drift=mass_drift)

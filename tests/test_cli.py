@@ -348,6 +348,9 @@ class TestInstabilityCommand:
         assert rep["relative_error"] < 0.10
         assert rep["escape_time"] is not None
         assert abs(rep["final_branch"]) == pytest.approx(0.7193, abs=1e-3)
+        # what the scheme did: every step extrapolated, mass kept
+        assert rep["fallback_steps"] == 0
+        assert 0.0 <= rep["mass_drift"] < 1e-12
         series = np.genfromtxt(tmp_path / "out" / "series.csv",
                                delimiter=",", names=True)
         assert set(series.dtype.names) == {"t", "m", "fstar_pairing", "w1"}
@@ -418,7 +421,8 @@ class TestInstabilityCommand:
             # takes every step to t_end
             assert rep["dt"] == guard
             assert rep["steps"] == math.ceil(1.0 / guard)
-            assert "step_error" not in rep
+            assert not {"step_error", "fallback_steps",
+                        "mass_drift"} & rep.keys()
             series.append((tmp_path / "out" / "series.csv").read_bytes())
         assert series[0] != series[1]
 

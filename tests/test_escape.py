@@ -1,7 +1,9 @@
-"""escape_run's record channels, checked against the engine's start state."""
+"""escape_run's record channels, checked against the engine's start state,
+and the FP engine's account of its run."""
 import numpy as np
 import pytest
 
+from mvstab import escape
 from mvstab.escape import escape_run
 from mvstab.fokkerplanck import (auto_grid, discrete_stationary,
                                  state_from_density)
@@ -60,3 +62,24 @@ class TestChannelsAtStart:
         assert w1 == pytest.approx(
             w1_density(x, np.cumsum(rho0) * dx, np.cumsum(ss.rho) * dx),
             rel=1e-12)
+
+
+def test_fp_account_reads_the_whole_series(dawson_sub, roots, monkeypatch):
+    # fallback_steps is the count at the last record and mass_drift the
+    # largest |mass - 1| over all records, here a middle one
+    fp_evolve = escape.fp_evolve
+
+    def evolve_with_known_account(*args, **kw):
+        series = fp_evolve(*args, **kw)
+        n = series.times.size
+        series.channels["fallback_steps"] = np.arange(n)
+        series.channels["mass_drift"] = np.where(np.arange(n) == n // 2,
+                                                 5e-15, 1e-15)
+        return series
+    monkeypatch.setattr(escape, "fp_evolve", evolve_with_known_account)
+    res = escape_run(dawson_sub, roots, engine="fp", delta=DELTA, stride=1,
+                     t_end=0.02, n_cells=200)
+    n = res.series.times.size
+    assert n > 2
+    assert res.fallback_steps == n - 1
+    assert res.mass_drift == 5e-15

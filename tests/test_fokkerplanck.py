@@ -118,27 +118,29 @@ class TestStep:
 
 
 def _banded_reference_step(mdl, grid, rho, m, dt):
-    """Backward Euler step built the long way: masked Chang-Cooper weights,
-    a zero-filled (3, n) band and scipy's solve_banded.  Returns the new
+    """Backward Euler step built the long way: masked Bernoulli weights
+    c_minus = (D/dx) B(w) = b/(e^w - 1) and c_plus = c_minus e^w, a
+    zero-filled (3, n) band of dx A - (dx/dt) I, the right-hand side
+    scaled by the band's own shift and scipy's solve_banded, which runs
+    dgtsv for one sub- and one superdiagonal.  Returns the new
     density, its statistic and the smallest |w| of the weights."""
     dx, D = grid.dx, 0.5 * mdl.sigma ** 2
     xf = grid.interfaces
     b = mdl.a(xf) + mdl.beta * mdl.c(xf) * m
-    w = b * dx / D
-    small = np.abs(w) < 1e-8
-    delta = np.empty_like(w)
-    delta[small] = 0.5 - w[small] / 12.0
-    delta[~small] = 1.0 / w[~small] - 1.0 / np.expm1(w[~small])
-    c_plus = b * (1.0 - delta) + D / dx
-    c_minus = D / dx - b * delta
-    diag = np.zeros(grid.n_cells)
-    diag[:-1] -= c_plus / dx
-    diag[1:] -= c_minus / dx
+    w = b * (dx / D)
+    nz = w != 0
+    c_minus = np.full_like(w, D / dx)
+    c_plus = np.full_like(w, D / dx)
+    c_minus[nz] = b[nz] / np.expm1(w[nz])
+    c_plus[nz] = c_minus[nz] * np.exp(w[nz])
     ab = np.zeros((3, grid.n_cells))
-    ab[0, 1:] = -dt * (c_minus / dx)
-    ab[1] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * (c_plus / dx)
-    rho = solve_banded((1, 1), ab, rho)
+    ab[0, 1:] = c_minus
+    ab[1, :-1] -= c_plus
+    ab[1, 1:] -= c_minus
+    diag = ab[1].copy()
+    ab[1] -= dx / dt
+    ab[2, :-1] = c_plus
+    rho = solve_banded((1, 1), ab, (ab[1] - diag) * rho)
     return rho, float(np.dot(mdl.g(grid.centers), rho) * dx), np.abs(w).min()
 
 
@@ -146,8 +148,8 @@ class TestDirectSolve:
     @pytest.mark.parametrize("case", ["dawson", "free"])
     def test_bit_identical_to_banded_reference(self, dawson08, case):
         # the backward Euler half-step solve that FpStepper.step combines;
-        # dawson keeps every |w| >= 1e-8; free diffusion has b = 0, so
-        # every weight takes the series branch
+        # dawson keeps every |w| >= 1e-8, off the w = 0 branch; free
+        # diffusion has b = 0, so every weight takes that branch
         if case == "dawson":
             mdl, grid = dawson08, FpGrid(L=5.0, n_cells=400)
             st = init_from_model(mdl, grid, 0.3)
@@ -165,6 +167,41 @@ class TestDirectSolve:
         assert w_min >= 1e-8 if case == "dawson" else w_min == 0.0
 
 
+class TestRates:
+    @pytest.mark.parametrize("w_max", [0.0, 2.0, 30.0, 40.0])
+    def test_bernoulli_rates(self, w_max):
+        # a linear drift sweeps w = b dx/D over [-w_max, w_max] across
+        # the interfaces
+        grid, D = FpGrid(L=1.0, n_cells=400), 0.5
+        slope = w_max * D / (grid.dx * grid.L)
+        mdl = replace(free_diffusion(sigma=1.0), a=lambda x: slope * x)
+        c_plus, c_minus, diag = FpStepper(mdl, grid).flux_coefficients(0.0)
+        b = mdl.a(grid.interfaces)
+        w = b * (grid.dx / D)
+        assert np.abs(w).max() == pytest.approx(w_max, rel=0.01)
+        assert np.isfinite(c_plus).all() and np.isfinite(c_minus).all()
+        assert (c_plus > 0).all() and (c_minus > 0).all()
+        # the diagonal of dx A: minus each cell's outflow rate
+        assert np.array_equal(diag, -(np.append(c_plus, 0.0)
+                                      + np.insert(c_minus, 0, 0.0)))
+        if w_max == 0.0:
+            assert (c_plus == D / grid.dx).all()
+            assert (c_minus == D / grid.dx).all()
+        if w_max <= 2.0:
+            # the former delta form, delta(w) = 1/w - 1/(e^w - 1)
+            small = np.abs(w) < 1e-8
+            delta = np.empty_like(w)
+            delta[small] = 0.5 - w[small] / 12.0
+            delta[~small] = 1.0 / w[~small] - 1.0 / np.expm1(w[~small])
+            ref_plus = b * (1.0 - delta) + D / grid.dx
+            ref_minus = D / grid.dx - b * delta
+            assert np.abs(c_plus / ref_plus - 1.0).max() <= 2e-15
+            assert np.abs(c_minus / ref_minus - 1.0).max() <= 2e-15
+        if w_max <= 30.0:
+            # detailed balance: the Gibbs ratio across each interface
+            assert np.abs(c_plus / c_minus / np.exp(w) - 1.0).max() <= 1e-14
+
+
 class TestRichardsonStep:
     def test_step_is_extrapolated_backward_euler(self, dawson08):
         grid = FpGrid(L=5.0, n_cells=400)
@@ -180,6 +217,7 @@ class TestRichardsonStep:
         assert out.m == float(np.dot(dawson08.g(grid.centers), out.rho)
                               * grid.dx)
         assert stepper.step_error == np.abs(halves.rho - full.rho).max()
+        assert stepper.fallback_steps == 0
 
     def test_second_order_in_time(self, dawson08):
         # the end-point error in m against a fine run to t = 1 falls
@@ -214,6 +252,7 @@ class TestRichardsonStep:
         assert (2.0 * halves.rho - full.rho).min() < -1e-14
         out = stepper.step(st, dt)
         assert np.array_equal(out.rho, halves.rho)
+        assert stepper.fallback_steps == 1
         assert out.rho.min() >= 0.0
         assert abs(out.mass(grid) - 1.0) < 1e-13
 
@@ -289,6 +328,14 @@ class TestEvolve:
         assert ts.times.size == 6
         assert np.allclose(ts["mass"], 1.0, atol=1e-12)
         assert np.abs(ts["g"] - ts["m"]).max() < 1e-12
+        # the engine's own channels: |mass - 1| and the fallback count,
+        # also from a state that starts light by 1e-6
+        assert np.array_equal(ts["mass_drift"], np.abs(ts["mass"] - 1.0))
+        assert (ts["fallback_steps"] == 0).all()
+        light = FpState(rho=st.rho * (1.0 - 1e-6), t=0.0, m=st.m)
+        ts = fp_evolve(light, dawson08, grid, t_end=0.05, dt=1e-3,
+                       stride=10)
+        assert ts["mass_drift"] == pytest.approx(1e-6, rel=1e-8)
 
     def test_zero_dt_rejected(self, dawson08):
         # a zero step is an error, as in the particle engine, not "auto"
