@@ -67,8 +67,9 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
     fitted while |pairing| crosses [2|c0|, 10|c0|], c0 = delta <g_M,
     f_star> being the predicted initial pairing; fewer than three
     records there, or a fitted slope <= 0, make the run "inconclusive".
-    ``dt=None`` picks each engine's default step; ``n_cells`` applies to
-    "fp", ``n_particles`` and ``seed`` to "particles".
+    ``dt=None`` picks each engine's default step, for "fp" with its
+    growth-rate cap at lambda_star; ``n_cells`` applies to "fp",
+    ``n_particles`` and ``seed`` to "particles".
     """
     spec, mu_delta = make_perturbation(branch, delta, direction=direction,
                                        M=M, custom_file=custom_file)
@@ -90,7 +91,8 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
             return {"pairing": float(np.dot(fstar_x, s.rho) * dx) - fstar_ref,
                     "w1": w1_density(x, np.cumsum(s.rho) * dx, ref_cdf)}
         rho0 = ss.rho * (1.0 + delta * spec.g_M_at(x))
-        dt = default_dt(model, grid) if dt is None else dt
+        if dt is None:
+            dt = default_dt(model, grid, rate=branch.mode.lambda_star)
         run = partial(fp_evolve, state_from_density(rho0, model, grid),
                       model, grid)
     elif engine == "particles":

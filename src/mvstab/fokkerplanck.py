@@ -6,13 +6,14 @@
 on a truncated interval with zero-flux walls.  Interface fluxes use the
 Chang-Cooper weights in the Bernoulli-function form of Scharfetter and
 Gummel: detailed balance makes the Gibbs density an exact discrete
-steady state, and the backward Euler matrix is an M-matrix, hence
-positive, for any step size.  A backward Euler solve in rho is one
-LAPACK dgtsv call on rates evaluated once per frozen coupling statistic
-m, so the nonlinearity stays explicit and cheap.  A step of dt is the
-Richardson extrapolation 2 BE(dt/2) o BE(dt/2) - BE(dt) of the whole
-map, m included: second order in time, with the difference of the two
-solutions as a free local error estimate.
+steady state, and the tridiagonal backward Euler matrix is an M-matrix
+for any step size.  The mean-field coupling adds a rank-one term to the
+Jacobian, so a backward Euler sub-step linearized in m is one LAPACK
+dgtsv call on two columns, with rates evaluated once per m, and a
+Sherman-Morrison update.  A step of dt is the Richardson extrapolation
+2 BE(dt/2) o BE(dt/2) - BE(dt) of the whole map, m included: second
+order in time, with the difference of the two solutions as a free local
+error estimate.
 """
 from __future__ import annotations
 
@@ -89,11 +90,48 @@ def init_from_model(model: ScalarMeanFieldModel, grid: FpGrid,
     return state_from_density(rho, model, grid)
 
 
+# B'(w) = -1/2 + sum_k B_{2k} w^(2k-1)/(2k-1)! for the Bernoulli numbers
+# B_2 ... B_14, highest order first; below |w| = 0.5 the first omitted
+# term is under 3.3e-16 relative
+_BERNOULLI_SLOPE_ODD = (1 / 5337446400, -691 / 108972864000,
+                        1 / 4790016, -1 / 151200, 1 / 5040, -1 / 180, 1 / 6)
+
+
+def bernoulli_slopes(w: np.ndarray, bm: np.ndarray, bp: np.ndarray):
+    """B'(w) and -B'(-w) for the Bernoulli function B(w) = w/(e^w - 1),
+    given bm = B(w) and bp = B(-w).
+
+    The quotients B'(w) = bm (1 - bp)/w and -B'(-w) = bp (1 - bm)/w lose
+    about eps/|w| to cancellation, so below |w| = 0.5 both come from the
+    series of the odd part, B'(w) = -1/2 + odd(w) and -B'(-w) = 1/2 +
+    odd(w).  Against 40-digit values on |w| <= 40 both are accurate to
+    1.4e-15 relative."""
+    w2 = w * w
+    odd = np.full_like(w, _BERNOULLI_SLOPE_ODD[0])
+    for c in _BERNOULLI_SLOPE_ODD[1:]:
+        odd *= w2
+        odd += c
+    odd *= w
+    slope_minus, slope_plus = odd - 0.5, odd + 0.5
+    big = np.abs(w) >= 0.5
+    if big.any():
+        wb, bmb, bpb = w[big], bm[big], bp[big]
+        slope_minus[big] = bmb * (1.0 - bpb) / wb
+        slope_plus[big] = bpb * (1.0 - bmb) / wb
+    return slope_minus, slope_plus
+
+
 class FpStepper:
     """Precomputed geometry for repeated steps of one model on one grid.
-    Backward Euler over h at frozen m solves (dx A - (dx/h) I) x = -(dx/h)
-    rho for the flux divergence A, whose diagonals ``flux_coefficients``
-    gives once per m for every solve at that m."""
+
+    The right-hand side is A(m) rho with m = <g dx, rho>, so its Jacobian
+    is the flux divergence A(m) plus the rank-one mean-field term
+    u (g dx)^T, u = d/dm [A(m) rho].  A sub-step over h is backward Euler
+    linearized at its start state (rho, m): (I - h A(m)) rho_new =
+    rho + h u (m_new - m).  One dgtsv call solves the tridiagonal for the
+    two columns rho and u, and a Sherman-Morrison update closes the
+    rank-one term.  ``flux_coefficients`` gives the diagonals of dx A and
+    the rates' m-derivatives once per m for every solve at that m."""
 
     def __init__(self, model: ScalarMeanFieldModel, grid: FpGrid):
         self.grid = grid
@@ -115,14 +153,17 @@ class FpStepper:
 
     def flux_coefficients(self, m: float):
         """Chang-Cooper rates (c_plus, c_minus) at the interfaces for a
-        frozen m, and the diagonal of dx A, minus each cell's outflow.
+        frozen m, the diagonal of dx A, minus each cell's outflow, and
+        the rates' derivatives (dc_plus, dc_minus) in m.
 
         With w = b dx/D and the Bernoulli function B(w) = w/(e^w - 1), the
         flux c_plus rho_i - c_minus rho_{i+1} takes c_minus = (D/dx) B(w)
-        = b/(e^w - 1) and c_plus = c_minus e^w (Scharfetter-Gummel), whose
-        detailed balance makes the Gibbs profile exactly steady.  Both are
-        accurate and positive up to w = 709, where e^w overflows and the
-        run stops on a non-finite density; B(0) = 1 gives D/dx at w = 0."""
+        = b/(e^w - 1) and c_plus = c_minus e^w = (D/dx) B(-w)
+        (Scharfetter-Gummel), whose detailed balance makes the Gibbs
+        profile exactly steady.  Both are accurate and positive up to
+        w = 709, where e^w overflows and the run stops on a non-finite
+        density; B(0) = 1 gives D/dx at w = 0.  Since db/dm = beta c,
+        dc_minus = beta c B'(w) and dc_plus = -beta c B'(-w)."""
         b = self.a_if + self.beta_c_if * m
         w = b * (self.dx / self.D)
         if w.all():
@@ -136,53 +177,91 @@ class FpStepper:
         diag = np.zeros(self.grid.n_cells)
         diag[:-1] -= c_plus
         diag[1:] -= c_minus
-        return c_plus, c_minus, diag
+        slope_minus, slope_plus = bernoulli_slopes(
+            w, c_minus * (self.dx / self.D), c_plus * (self.dx / self.D))
+        return (c_plus, c_minus, diag, self.beta_c_if * slope_plus,
+                self.beta_c_if * slope_minus)
 
-    def _solve(self, rates, h: float, rho: np.ndarray) -> np.ndarray:
-        """Backward Euler over h from rho at the m of ``rates`` by one
-        dgtsv call, which overwrites only its own diagonal d and right-hand
-        side.  That scales rho by diag - d, the shift each cell carries,
-        not by dx/h, whose low bits every cell loses alike: over 8,000
-        steps of dt = 5e-4 to 3e-3 on the example's grid, that drifted the
-        mass by 3e-12 to 6e-11, against at most 1.3e-14."""
-        c_plus, c_minus, diag = rates
+    def coupling(self, rates, rho: np.ndarray) -> np.ndarray:
+        """d/dm [dx A(m) rho] at the m of ``rates``: dx u, the column of
+        the mean-field term in the Jacobian.  Each interface flux moves by
+        dc_plus rho_i - dc_minus rho_{i+1}, so the column sums to zero."""
+        dc_plus, dc_minus = rates[3:]
+        dflux = dc_plus * rho[:-1] - dc_minus * rho[1:]
+        u = np.zeros_like(rho)
+        u[:-1] -= dflux
+        u[1:] += dflux
+        return u
+
+    def _solve(self, rates, h: float, rho: np.ndarray, m: float,
+               u: np.ndarray) -> np.ndarray:
+        """Backward Euler over h from (rho, m), linearized in m, for the
+        ``rates`` at m and ``u`` = ``coupling(rates, rho)`` = dx u.
+
+        One dgtsv call solves M [y, z] = [(d - diag) rho, dx u] for
+        M = dx A - (dx/h) I, overwriting only its own diagonal d and
+        right-hand side; then z = -h (I - h A)^-1 u, and Sherman-Morrison
+        gives rho_new = y - z (m_y - m)/(1 + m_z).  Scaling rho by
+        d - diag, the shift each cell's diagonal carries, not by -dx/h,
+        whose low bits every cell loses alike, keeps the mass: over 8,000
+        steps of dt = 5e-4 to 3e-3 on the example's grid the latter drifted
+        it by 3e-12 to 6e-11, against at most 1.3e-14.  Since u sums to
+        zero, z carries no mass.  1 + m_z = det(I - h J) /
+        det(I - h A) for the full Jacobian J; it is positive while
+        h lambda < 1 for every real eigenvalue lambda of J, and the step
+        stops when it is not."""
+        c_plus, c_minus, diag = rates[:3]
         d = diag - self.dx / h
-        *_, x, info = self._gtsv(c_plus, d, c_minus, (d - diag) * rho,
+        rhs = np.empty((rho.size, 2), order="F")
+        np.multiply(d - diag, rho, out=rhs[:, 0])
+        rhs[:, 1] = u
+        *_, x, info = self._gtsv(c_plus, d, c_minus, rhs,
                                  overwrite_d=True, overwrite_b=True)
         if info > 0:
             raise SchemeError(
                 f"tridiagonal solve failed: singular matrix at row {info}")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgtsv")
-        return x
+        y, z = x.T
+        m_y = self._m(y)
+        denom = 1.0 + self._m(z)
+        if denom <= 0:
+            raise SchemeError(
+                f"the mean-field coupling makes the step singular: "
+                f"1 + m_z = {denom:.3e} <= 0 at h = {h:.6g}")
+        return y - z * ((m_y - m) / denom)
 
     def _m(self, rho: np.ndarray) -> float:
         return float(np.dot(self.g_centers, rho) * self.dx)
 
-    def backward_euler(self, state: FpState, dt: float,
-                       coefficients=None) -> FpState:
-        """One backward Euler solve over dt with m frozen at state.m;
-        ``coefficients`` are ``flux_coefficients(state.m)`` when the
-        caller has them already."""
-        if coefficients is None:
-            coefficients = self.flux_coefficients(state.m)
-        rho = self._solve(coefficients, dt, state.rho)
+    def backward_euler(self, state: FpState, dt: float) -> FpState:
+        """One backward Euler sub-step over dt from state, linearized in
+        m: the solve that ``step`` extrapolates."""
+        rates = self.flux_coefficients(state.m)
+        rho = self._solve(rates, dt, state.rho, state.m,
+                          self.coupling(rates, state.rho))
         return FpState(rho=rho, t=state.t + dt, m=self._m(rho))
 
     def step(self, state: FpState, dt: float) -> FpState:
-        """2 BE(dt/2) o BE(dt/2) - BE(dt), or the two half steps alone
-        where the extrapolation goes below -1e-14 (backward Euler keeps
-        the density positive), from the rates at state.m and at the half
-        step's m.  ``step_error`` keeps the largest local estimate
+        """2 BE(dt/2) o BE(dt/2) - BE(dt) of the linearly implicit
+        sub-step, or the two half steps alone where the extrapolation goes
+        below -1e-14, from the rates and coupling column at state and at
+        the half step.  Its linearization about a steady state is
+        R(dt J) = 2 (I - dt J/2)^-2 - (I - dt J)^-1 of the full Jacobian
+        J, whose time error in a growth rate lambda is (lambda dt)^2/6.
+        ``step_error`` keeps the largest local estimate
         |BE(dt/2) o BE(dt/2) - BE(dt)| in the max norm over the steps
         taken, and ``fallback_steps`` counts those that kept the halves."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         rates = self.flux_coefficients(state.m)
-        full = self._solve(rates, dt, state.rho)
-        half = self._solve(rates, 0.5 * dt, state.rho)
-        halves = self._solve(self.flux_coefficients(self._m(half)),
-                             0.5 * dt, half)
+        u = self.coupling(rates, state.rho)
+        full = self._solve(rates, dt, state.rho, state.m, u)
+        half = self._solve(rates, 0.5 * dt, state.rho, state.m, u)
+        m_half = self._m(half)
+        rates = self.flux_coefficients(m_half)
+        halves = self._solve(rates, 0.5 * dt, half, m_half,
+                             self.coupling(rates, half))
         self.step_error = max(self.step_error,
                               float(np.abs(halves - full).max()))
         rho_new = 2.0 * halves - full
@@ -208,9 +287,12 @@ class FpStepper:
         return rho / (rho.sum() * self.dx)
 
 
-def default_dt(model: ScalarMeanFieldModel, grid: FpGrid) -> float:
-    """Accuracy-motivated default 4 dx / max|b| for the second-order
-    extrapolated step: a drift crosses four cells per step.
+def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
+               rate: float | None = None) -> float:
+    """Accuracy-motivated default 20 dx / max|b| for the second-order
+    extrapolated step: a drift crosses twenty cells per step.  A growth
+    ``rate`` > 0 caps rate * dt at 2.7e-3, where the step's own time error
+    in that rate, (rate dt)^2/6, is 1.2e-6.
 
     The drift maximum is taken at m = +-1 over the occupied region
     (stationary log-density within 28 nats of its peak); the outer cells
@@ -228,7 +310,10 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid) -> float:
     xs = x[lg > lg.max() - 28.0]
     bmax = max(abs(model.drift(xs, 1.0)).max(),
                abs(model.drift(xs, -1.0)).max())
-    return 4.0 * grid.dx / max(bmax, 1e-12)
+    dt = 20.0 * grid.dx / max(bmax, 1e-12)
+    if rate is not None and rate > 0:
+        dt = min(dt, 2.7e-3 / rate)
+    return dt
 
 
 def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid, *,

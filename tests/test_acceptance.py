@@ -171,9 +171,10 @@ def test_c05_selfconsistency_equivalence():
 
 def _fp_escape_run(branch, roots, delta, t_end=60.0):
     # a stop band factor of 30 lets the full-amplitude run go on to
-    # |m - m_root| = 0.3
+    # |m - m_root| = 0.3; stride counts steps of the default dt: records
+    # 3.6e-2 apart
     res = escape_run(branch, roots, engine="fp", delta=delta, t_end=t_end,
-                     stride=20, stop_band_factor=30.0)
+                     stride=4, stop_band_factor=30.0)
     return res.series.times, np.abs(res.series["pairing"])
 
 
@@ -280,8 +281,9 @@ def test_c08_outer_branch_stability(dawson08):
     g_M_grid = h_grid - float(np.dot(h_grid, ss.rho) * grid.dx)
     st = state_from_density(ss.rho * (1.0 + delta * g_M_grid), model, grid)
     x, ref_cdf = grid.centers, np.cumsum(ss.rho) * grid.dx
+    # stride counts steps of the default dt: records 7.1e-2 apart
     series = fp_evolve(st, model, grid, t_end=10.0,
-                       dt=default_dt(model, grid), stride=40,
+                       dt=default_dt(model, grid), stride=8,
                        observe=lambda s: {"w1": w1_density(
                            x, np.cumsum(s.rho) * grid.dx, ref_cdf)})
     w1 = series["w1"]
@@ -313,14 +315,16 @@ def test_c09_engine_agreement(dawson08):
     grid = auto_grid(model, m_values=(0.0, 0.8), n_cells=1600)
     from mvstab.fokkerplanck import init_from_model
     st = init_from_model(model, grid, m_start)
+    # stride counts steps of the default dt: FP records 8.9e-2 apart
     fp = fp_evolve(st, model, grid, t_end=5.0, dt=default_dt(model, grid),
-                   stride=50)
+                   stride=10)
 
     gibbs0 = build_gibbs(model, m_start)
 
     def run(seed):
         xs = sample_measure(gibbs0, n, seed=seed)
-        # stride counts steps of the default dt: records 2.6e-2 apart
+        # stride counts steps of the default dt: particle records 2.6e-2
+        # apart
         return evolve(make_ensemble(xs, model, seed=seed), model, t_end=5.0,
                       stride=3)
 

@@ -356,6 +356,25 @@ class TestInstabilityCommand:
         assert set(series.dtype.names) == {"t", "m", "fstar_pairing", "w1"}
         assert (tmp_path / "out" / "instability.svg").exists()
 
+    def test_fp_rate_capped_step_resolves_a_fast_mode(self, tmp_path):
+        # config.example.ini on cosine, beta = 12.8, sigma = sqrt(2):
+        # lambda_star = 6.55, so the default step is capped at 2.7e-3 /
+        # lambda_star, and its 1,475 steps put enough records in the fit
+        # window; at 20 dx/max|b| the run would stop at its first record
+        text = Path("config.example.ini").read_text()
+        for key, value in (("name", "cosine"), ("beta", "12.8"),
+                           ("sigma", repr(math.sqrt(2.0)))):
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        cfg = tmp_path / "cosine.ini"
+        cfg.write_text(text)
+        assert run("instability", str(cfg), "--out",
+                   str(tmp_path / "out")) == 0
+        rep = report(tmp_path, "instability.json")
+        assert rep["status"] == "ok"
+        assert rep["relative_error"] < 1e-2
+        assert rep["fallback_steps"] == 0
+        assert rep["dt"] * rep["lambda_star"] == pytest.approx(2.7e-3)
+
     def test_zero_amplitude_inconclusive(self, tmp_path):
         cfg = write_cfg(tmp_path, delta=0.0, t_end=2.0)
         assert run("instability", cfg) == 2

@@ -83,3 +83,33 @@ def test_fp_account_reads_the_whole_series(dawson_sub, roots, monkeypatch):
     assert n > 2
     assert res.fallback_steps == n - 1
     assert res.mass_drift == 5e-15
+
+
+@pytest.mark.slow
+def test_escape_time_ladder(dawson_sub, roots):
+    # the paper's instability statement as a measured law: from delta =
+    # 1e-2, 1e-3 and 1e-4 every FP run reaches |m - m_c| = 0.5, and the
+    # first time T with |m - m_c| > 0.05 moves by ln 10 / lambda_star per
+    # decade of delta.  The shift needs no fit window, so it reads the
+    # scheme's own rate: 1,600 cells put it 1.4e-5 off lambda_star, the
+    # step (lambda_star dt)^2/6 = 4.7e-7 more, and the O(delta) nonlinear
+    # term moves the first decade by +1.7e-5.  Measured: +3.7e-6 and
+    # -1.34e-5; a step that holds m through each solve reads +3.4e-5 and
+    # +1.7e-5.
+    lam = dawson_sub.mode.lambda_star
+    times = []
+    for delta in (1e-2, 1e-3, 1e-4):
+        res = escape_run(dawson_sub, roots, engine="fp", delta=delta,
+                         t_end=80.0, stride=1,
+                         stop_band_factor=0.5 / (10 * delta))
+        log_dist = np.log(np.abs(res.series["m"] - res.m_center))
+        assert log_dist[-1] > np.log(0.5)
+        # the crossing, interpolated in log|m - m_c| between two records
+        # one step apart
+        k = int(np.argmax(log_dist > np.log(0.05)))
+        t = res.series.times
+        times.append(t[k - 1] + (t[k] - t[k - 1])
+                     * (np.log(0.05) - log_dist[k - 1])
+                     / (log_dist[k] - log_dist[k - 1]))
+    per_decade = np.diff(times) * lam / np.log(10.0)
+    assert np.abs(per_decade - 1.0).max() < 2e-5

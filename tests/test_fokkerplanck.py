@@ -1,13 +1,17 @@
 from dataclasses import replace
+from fractions import Fraction
+from math import factorial
+
+import mpmath as mp
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from mvstab.fokkerplanck import (FpGrid, FpState, FpStepper, SchemeError,
-                                 auto_grid, default_dt, discrete_stationary,
-                                 fp_evolve, init_from_model,
-                                 state_from_density)
+                                 auto_grid, bernoulli_slopes, default_dt,
+                                 discrete_stationary, fp_evolve,
+                                 init_from_model, state_from_density)
 from mvstab.model import ScalarMeanFieldModel, dawson_model
 from mvstab.numerics import fit_exp_rate
 from mvstab.perturb import make_perturbation
@@ -117,22 +121,45 @@ class TestStep:
                                            1e-3)
 
 
+def _bernoulli_slope_reference(w, bm, bp):
+    """B'(w) and -B'(-w) the long way: the quotients bm (1 - bp)/w and
+    bp (1 - bm)/w on a mask |w| >= 0.5, and below it -1/2 and +1/2 plus
+    np.polyval of the odd part's series, whose coefficients
+    B_2k/(2k - 1)! come from exact Bernoulli numbers."""
+    odd_coef = [float(Fraction(*mp.bernfrac(2 * k)) / factorial(2 * k - 1))
+                for k in range(7, 0, -1)]
+    big = np.abs(w) >= 0.5
+    odd = w * np.polyval(odd_coef, w * w)
+    minus, plus = odd - 0.5, odd + 0.5
+    minus[big] = bm[big] * (1.0 - bp[big]) / w[big]
+    plus[big] = bp[big] * (1.0 - bm[big]) / w[big]
+    return minus, plus
+
+
 def _banded_reference_step(mdl, grid, rho, m, dt):
-    """Backward Euler step built the long way: masked Bernoulli weights
-    c_minus = (D/dx) B(w) = b/(e^w - 1) and c_plus = c_minus e^w, a
-    zero-filled (3, n) band of dx A - (dx/dt) I, the right-hand side
-    scaled by the band's own shift and scipy's solve_banded, which runs
-    dgtsv for one sub- and one superdiagonal.  Returns the new
-    density, its statistic and the smallest |w| of the weights."""
+    """Linearly implicit backward Euler step built the long way: masked
+    Bernoulli weights c_minus = (D/dx) B(w) = b/(e^w - 1) and c_plus =
+    c_minus e^w, and their m-derivatives beta c B'(w) and -beta c
+    B'(-w); the coupling column dx u = -diff of the flux derivative; a
+    zero-filled (3, n) band of dx A - (dx/dt) I; scipy's solve_banded,
+    which runs dgtsv for one sub- and one superdiagonal, on the columns
+    [(band shift) rho, dx u]; and the Sherman-Morrison update for the
+    rank-one term.  Returns the new density, its statistic and the
+    smallest |w| of the weights."""
     dx, D = grid.dx, 0.5 * mdl.sigma ** 2
     xf = grid.interfaces
-    b = mdl.a(xf) + mdl.beta * mdl.c(xf) * m
+    beta_c = mdl.beta * mdl.c(xf)
+    b = mdl.a(xf) + beta_c * m
     w = b * (dx / D)
     nz = w != 0
     c_minus = np.full_like(w, D / dx)
     c_plus = np.full_like(w, D / dx)
     c_minus[nz] = b[nz] / np.expm1(w[nz])
     c_plus[nz] = c_minus[nz] * np.exp(w[nz])
+    slope_minus, slope_plus = _bernoulli_slope_reference(
+        w, c_minus * (dx / D), c_plus * (dx / D))
+    dflux = beta_c * slope_plus * rho[:-1] - beta_c * slope_minus * rho[1:]
+    u = -np.diff(dflux, prepend=0.0, append=0.0)
     ab = np.zeros((3, grid.n_cells))
     ab[0, 1:] = c_minus
     ab[1, :-1] -= c_plus
@@ -140,16 +167,22 @@ def _banded_reference_step(mdl, grid, rho, m, dt):
     diag = ab[1].copy()
     ab[1] -= dx / dt
     ab[2, :-1] = c_plus
-    rho = solve_banded((1, 1), ab, (ab[1] - diag) * rho)
-    return rho, float(np.dot(mdl.g(grid.centers), rho) * dx), np.abs(w).min()
+    y, z = solve_banded((1, 1), ab,
+                        np.column_stack([(ab[1] - diag) * rho, u])).T
+    g = mdl.g(grid.centers)
+    m_y = float(np.dot(g, y) * dx)
+    m_z = float(np.dot(g, z) * dx)
+    rho = y - z * ((m_y - m) / (1.0 + m_z))
+    return rho, float(np.dot(g, rho) * dx), np.abs(w).min()
 
 
 class TestDirectSolve:
     @pytest.mark.parametrize("case", ["dawson", "free"])
     def test_bit_identical_to_banded_reference(self, dawson08, case):
-        # the backward Euler half-step solve that FpStepper.step combines;
-        # dawson keeps every |w| >= 1e-8, off the w = 0 branch; free
-        # diffusion has b = 0, so every weight takes that branch
+        # the linearly implicit sub-step that FpStepper.step combines;
+        # dawson keeps every |w| >= 1e-8, off the w = 0 branch, and
+        # crosses |w| = 0.5, so both forms of B' occur; free diffusion
+        # has b = 0, so every weight takes that branch
         if case == "dawson":
             mdl, grid = dawson08, FpGrid(L=5.0, n_cells=400)
             st = init_from_model(mdl, grid, 0.3)
@@ -175,7 +208,8 @@ class TestRates:
         grid, D = FpGrid(L=1.0, n_cells=400), 0.5
         slope = w_max * D / (grid.dx * grid.L)
         mdl = replace(free_diffusion(sigma=1.0), a=lambda x: slope * x)
-        c_plus, c_minus, diag = FpStepper(mdl, grid).flux_coefficients(0.0)
+        c_plus, c_minus, diag, *_ = FpStepper(mdl, grid).flux_coefficients(
+            0.0)
         b = mdl.a(grid.interfaces)
         w = b * (grid.dx / D)
         assert np.abs(w).max() == pytest.approx(w_max, rel=0.01)
@@ -200,6 +234,129 @@ class TestRates:
         if w_max <= 30.0:
             # detailed balance: the Gibbs ratio across each interface
             assert np.abs(c_plus / c_minus / np.exp(w) - 1.0).max() <= 1e-14
+
+
+def _dx_A_times(rates, rho):
+    """dx A(m) rho from the diagonals ``flux_coefficients`` gives."""
+    c_plus, c_minus, diag = rates[:3]
+    out = diag * rho
+    out[1:] += c_plus * rho[:-1]
+    out[:-1] += c_minus * rho[1:]
+    return out
+
+
+class TestCoupling:
+    """The column u = d/dm [A(m) rho] that the mean-field term adds to
+    the Jacobian, which each sub-step takes inside its solve."""
+
+    def test_bernoulli_slopes_against_mpmath(self):
+        # B'(w) and -B'(-w) at the rounded w, against 40-digit values,
+        # across the series threshold |w| = 0.5 and out to |w| = 40
+        w = np.concatenate([np.linspace(-40.0, 40.0, 4001),
+                            np.geomspace(1e-12, 3.0, 600),
+                            -np.geomspace(1e-12, 3.0, 600), [0.0]])
+        nz = w != 0
+        bm = np.ones_like(w)
+        bm[nz] = w[nz] / np.expm1(w[nz])
+        bp = bm * np.exp(w)
+        minus, plus = bernoulli_slopes(w, bm, bp)
+
+        def slope(v):
+            with mp.workdps(40):
+                v = mp.mpf(v)
+                if v == 0:
+                    return mp.mpf(-0.5)
+                e = mp.expm1(v)
+                return (e - v * mp.exp(v)) / e ** 2
+        ref_minus = np.array([float(slope(v)) for v in w])
+        ref_plus = np.array([float(-slope(-v)) for v in w])
+        assert np.abs(minus / ref_minus - 1.0).max() <= 2e-15
+        assert np.abs(plus / ref_plus - 1.0).max() <= 2e-15
+
+    @pytest.mark.parametrize("m", [0.0, 0.35])
+    def test_matches_central_difference_in_m(self, dawson08, m):
+        grid = FpGrid(L=5.0, n_cells=400)
+        rho = init_from_model(dawson08, grid, 0.3).rho
+        stepper = FpStepper(dawson08, grid)
+        u = stepper.coupling(stepper.flux_coefficients(m), rho)
+        # rounding in the differenced fluxes sets the error: 9e-11 at
+        # h = 1e-3, growing as 1/h below it
+        h = 1e-3
+        fd = (_dx_A_times(stepper.flux_coefficients(m + h), rho)
+              - _dx_A_times(stepper.flux_coefficients(m - h), rho)) / (2 * h)
+        assert np.abs(u - fd).max() <= 1e-9 * np.abs(u).max()
+        # the column moves no mass
+        assert abs(u.sum()) <= 1e-15 * np.abs(u).sum()
+
+    def test_zero_drift_branch(self):
+        # b = 0 at m = 0: every rate takes the w = 0 branch, B'(0) = -1/2,
+        # so the flux derivative is beta c times the interface mean of rho
+        mdl = replace(free_diffusion(sigma=1.0), beta=2.0)
+        grid = FpGrid(L=6.0, n_cells=600)
+        x = grid.centers
+        rho = state_from_density(np.exp(-(x - 0.5) ** 2), mdl, grid).rho
+        stepper = FpStepper(mdl, grid)
+        rates = stepper.flux_coefficients(0.0)
+        assert (rates[3] == 1.0).all() and (rates[4] == -1.0).all()
+        u = stepper.coupling(rates, rho)
+        assert np.allclose(u[1:-1], rho[:-2] - rho[2:], rtol=0.0,
+                           atol=1e-15 * rho.max())
+        assert u[0] == -(rho[0] + rho[1]) and u[-1] == rho[-2] + rho[-1]
+
+
+class TestLinearization:
+    """About the discrete steady state the step is the extrapolated
+    Euler map of the full Jacobian J = A(m_ss) + u (g dx)^T."""
+
+    @pytest.fixture(scope="class")
+    def linearization(self, dawson08):
+        grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=400)
+        ss = discrete_stationary(dawson08, grid, 0.0)
+        stepper = FpStepper(dawson08, grid)
+        rates = stepper.flux_coefficients(ss.m)
+        c_plus, c_minus, diag = rates[:3]
+        A = (np.diag(diag) + np.diag(c_minus, 1)
+             + np.diag(c_plus, -1)) / grid.dx
+        u = stepper.coupling(rates, ss.rho) / grid.dx
+        J = A + np.outer(u, dawson08.g(grid.centers) * grid.dx)
+        lam, right = np.linalg.eig(J)
+        k = int(np.argmax(lam.real))
+        lam_h, phi = lam[k].real, right[:, k].real
+        lam_l, left = np.linalg.eig(J.T)
+        psi = left[:, int(np.argmin(np.abs(lam_l - lam_h)))].real
+        return grid, ss, lam_h, phi, psi / np.dot(psi, phi)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_growth_of_the_dominant_mode(self, dawson08, linearization,
+                                         frozen):
+        # one step of dt = 0.5 from rho_ss + eps phi grows phi's component
+        # by R(z) = 2/(1 - z/2)^2 - 1/(1 - z), z = lambda_h dt, to O(eps)
+        # (1e-9 measured); e^z differs from R(z) by 1.6e-4 here.  A step
+        # that holds m through each solve is off by 4.9e-3.
+        grid, ss, lam_h, phi, psi = linearization
+        assert lam_h == pytest.approx(0.18796, rel=1e-3)
+        stepper = FpStepper(dawson08, grid)
+        if frozen:
+            stepper.coupling = lambda rates, rho: np.zeros_like(rho)
+        eps, dt = 1e-6, 0.5
+        rho0 = ss.rho + eps * phi
+        out = stepper.step(
+            FpState(rho=rho0, t=0.0, m=float(
+                np.dot(dawson08.g(grid.centers), rho0) * grid.dx)), dt)
+        growth = np.dot(psi, out.rho - ss.rho) / eps
+        z = lam_h * dt
+        err = abs(growth / (2.0 / (1.0 - z / 2) ** 2 - 1.0 / (1.0 - z)) - 1)
+        assert (err > 1e-3) if frozen else (err < 1e-6)
+
+    def test_step_past_the_unstable_time_scale_refused(self, dawson08,
+                                                       linearization):
+        # I - h J is singular at h = 1/lambda_h (5.3 here), so the
+        # sub-step's Sherman-Morrison denominator is negative beyond it
+        grid, ss, *_ = linearization
+        stepper = FpStepper(dawson08, grid)
+        stepper.step(ss, 5.0)
+        with pytest.raises(SchemeError, match="singular"):
+            stepper.step(ss, 12.0)
 
 
 class TestRichardsonStep:
@@ -351,15 +508,24 @@ class TestDefaults:
         dt = default_dt(dawson08, grid)
         assert 0 < dt < 0.1
 
+    def test_default_dt_rate_cap(self, dawson08):
+        # twenty cells per step, unless a growth rate caps rate * dt at
+        # 2.7e-3; a rate that is absent or not positive caps nothing
+        grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=800)
+        dt = default_dt(dawson08, grid)
+        for rate in (None, 0.0, -1.0, 1e-3):
+            assert default_dt(dawson08, grid, rate=rate) == dt
+        assert default_dt(dawson08, grid, rate=10.0) == 2.7e-4 < dt
+
     def test_default_dt_rejects_nonfinite_log_density(self):
         # a NaN cell near x = 1 is named, not a reason to take max|b|
-        # over every cell (6.18e-4 where the occupied region gives 3.09e-3)
+        # over every cell (3.09e-3 where the occupied region gives 1.545e-2)
         mdl = dawson_model(beta=1.0, sigma=0.7)
         grid = FpGrid(L=4.0, n_cells=800)
         x_bad = grid.centers[np.argmin(np.abs(grid.centers - 1.0))]
         holed = replace(mdl, log_gibbs0=lambda x: np.where(
             x == x_bad, np.nan, mdl.log_gibbs0(x)))
-        assert default_dt(mdl, grid) == pytest.approx(3.09e-3, rel=2e-3)
+        assert default_dt(mdl, grid) == pytest.approx(1.545e-2, rel=2e-3)
         with pytest.raises(ValueError, match=f"not finite at x={x_bad:g}"):
             default_dt(holed, grid)
 
