@@ -8,12 +8,13 @@ Chang-Cooper weights in the Bernoulli-function form of Scharfetter and
 Gummel: detailed balance makes the Gibbs density an exact discrete
 steady state, and the tridiagonal backward Euler matrix is an M-matrix
 for any step size.  The mean-field coupling adds a rank-one term to the
-Jacobian, so a backward Euler sub-step linearized in m is one LAPACK
-dgtsv call on two columns, with rates evaluated once per m, and a
-Sherman-Morrison update.  A step of dt is the Richardson extrapolation
-2 BE(dt/2) o BE(dt/2) - BE(dt) of the whole map, m included: second
-order in time, with the difference of the two solutions as a free local
-error estimate.
+Jacobian.  A step of dt linearizes the equation once, at its start
+state, and takes the Richardson extrapolation 2 BE(dt/2) o BE(dt/2) -
+BE(dt) of backward Euler on that linear equation, m included: one
+evaluation of the rates, three LAPACK dgtsv calls on five columns in
+all and Sherman-Morrison updates for the rank-one term.  The step is
+second order in time, with the difference of the two solutions as a
+free local error estimate.
 """
 from __future__ import annotations
 
@@ -82,14 +83,6 @@ def state_from_density(rho, model: ScalarMeanFieldModel,
                    m=float(np.dot(model.g(grid.centers), rho) * grid.dx))
 
 
-def init_from_model(model: ScalarMeanFieldModel, grid: FpGrid,
-                    m: float) -> FpState:
-    """Continuum Gibbs density of the frozen dynamics, sampled on cells."""
-    lg = model.log_gibbs(grid.centers, float(m))
-    rho = np.exp(lg - lg.max())
-    return state_from_density(rho, model, grid)
-
-
 # B'(w) = -1/2 + sum_k B_{2k} w^(2k-1)/(2k-1)! for the Bernoulli numbers
 # B_2 ... B_14, highest order first; below |w| = 0.5 the first omitted
 # term is under 3.3e-16 relative
@@ -126,12 +119,12 @@ class FpStepper:
 
     The right-hand side is A(m) rho with m = <g dx, rho>, so its Jacobian
     is the flux divergence A(m) plus the rank-one mean-field term
-    u (g dx)^T, u = d/dm [A(m) rho].  A sub-step over h is backward Euler
-    linearized at its start state (rho, m): (I - h A(m)) rho_new =
-    rho + h u (m_new - m).  One dgtsv call solves the tridiagonal for the
-    two columns rho and u, and a Sherman-Morrison update closes the
-    rank-one term.  ``flux_coefficients`` gives the diagonals of dx A and
-    the rates' m-derivatives once per m for every solve at that m."""
+    u (g dx)^T, u = d/dm [A(m) rho].  A step from (rho_n, m_n) takes
+    backward Euler sub-steps over h of the equation linearized there,
+    (I - h A(m_n)) rho_new = rho + h u_n (m_new - m_n) from any (rho, m):
+    ``flux_coefficients`` and ``coupling`` give A(m_n) and u_n once per
+    step, ``_solve`` solves the tridiagonal for rho and u_n, and
+    ``_close`` adds the rank-one term by Sherman-Morrison."""
 
     def __init__(self, model: ScalarMeanFieldModel, grid: FpGrid):
         self.grid = grid
@@ -193,28 +186,25 @@ class FpStepper:
         u[1:] += dflux
         return u
 
-    def _solve(self, rates, h: float, rho: np.ndarray, m: float,
-               u: np.ndarray) -> np.ndarray:
-        """Backward Euler over h from (rho, m), linearized in m, for the
-        ``rates`` at m and ``u`` = ``coupling(rates, rho)`` = dx u.
+    def _solve(self, rates, h: float, rho: np.ndarray,
+               u: np.ndarray | None = None):
+        """One dgtsv call for M = dx A - (dx/h) I, with A at the m of
+        ``rates``: the rows y = (I - h A)^-1 rho and, given the coupling
+        column u = dx u_n, z = -h (I - h A)^-1 u_n.
 
-        One dgtsv call solves M [y, z] = [(d - diag) rho, dx u] for
-        M = dx A - (dx/h) I, overwriting only its own diagonal d and
-        right-hand side; then z = -h (I - h A)^-1 u, and Sherman-Morrison
-        gives rho_new = y - z (m_y - m)/(1 + m_z).  Scaling rho by
-        d - diag, the shift each cell's diagonal carries, not by -dx/h,
-        whose low bits every cell loses alike, keeps the mass: over 8,000
-        steps of dt = 5e-4 to 3e-3 on the example's grid the latter drifted
-        it by 3e-12 to 6e-11, against at most 1.3e-14.  Since u sums to
-        zero, z carries no mass.  1 + m_z = det(I - h J) /
-        det(I - h A) for the full Jacobian J; it is positive while
-        h lambda < 1 for every real eigenvalue lambda of J, and the step
-        stops when it is not."""
+        The right-hand side is [(d - diag) rho, u] for M's diagonal d;
+        the call overwrites only d and the right-hand side.  Scaling rho
+        by d - diag, the shift each cell's diagonal carries, not by
+        -dx/h, whose low bits every cell loses alike, keeps the mass:
+        over 8,000 steps of dt = 5e-4 to 3e-3 on the example's grid the
+        latter drifted it by 3e-12 to 6e-11, against at most 1.3e-14.
+        Since u sums to zero, z carries no mass."""
         c_plus, c_minus, diag = rates[:3]
         d = diag - self.dx / h
-        rhs = np.empty((rho.size, 2), order="F")
+        rhs = np.empty((rho.size, 1 if u is None else 2), order="F")
         np.multiply(d - diag, rho, out=rhs[:, 0])
-        rhs[:, 1] = u
+        if u is not None:
+            rhs[:, 1] = u
         *_, x, info = self._gtsv(c_plus, d, c_minus, rhs,
                                  overwrite_d=True, overwrite_b=True)
         if info > 0:
@@ -222,31 +212,35 @@ class FpStepper:
                 f"tridiagonal solve failed: singular matrix at row {info}")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dgtsv")
-        y, z = x.T
-        m_y = self._m(y)
+        return x.T
+
+    def _denominator(self, z: np.ndarray, h: float) -> float:
+        """1 + m_z = det(I - h J) / det(I - h A) for the full Jacobian J
+        of the linearized equation: positive while h lambda < 1 for every
+        real eigenvalue lambda of J, and the step stops when it is not."""
         denom = 1.0 + self._m(z)
         if denom <= 0:
             raise SchemeError(
                 f"the mean-field coupling makes the step singular: "
                 f"1 + m_z = {denom:.3e} <= 0 at h = {h:.6g}")
-        return y - z * ((m_y - m) / denom)
+        return denom
+
+    def _close(self, y: np.ndarray, z: np.ndarray, denom: float,
+               m: float) -> np.ndarray:
+        """Sherman-Morrison for the sub-step linearized at m: rho_new =
+        y - z (m_y - m)/(1 + m_z)."""
+        return y - z * ((self._m(y) - m) / denom)
 
     def _m(self, rho: np.ndarray) -> float:
         return float(np.dot(self.g_centers, rho) * self.dx)
 
-    def backward_euler(self, state: FpState, dt: float) -> FpState:
-        """One backward Euler sub-step over dt from state, linearized in
-        m: the solve that ``step`` extrapolates."""
-        rates = self.flux_coefficients(state.m)
-        rho = self._solve(rates, dt, state.rho, state.m,
-                          self.coupling(rates, state.rho))
-        return FpState(rho=rho, t=state.t + dt, m=self._m(rho))
-
     def step(self, state: FpState, dt: float) -> FpState:
-        """2 BE(dt/2) o BE(dt/2) - BE(dt) of the linearly implicit
-        sub-step, or the two half steps alone where the extrapolation goes
-        below -1e-14, from the rates and coupling column at state and at
-        the half step.  Its linearization about a steady state is
+        """2 BE(dt/2) o BE(dt/2) - BE(dt) of backward Euler on the
+        equation linearized at state, or the two half steps alone where
+        the extrapolation goes below -1e-14.  One rate evaluation and one
+        coupling column serve all three sub-steps, and the second half
+        step solves for its one new column, reusing the first's z and
+        1 + m_z.  Its linearization about a steady state is
         R(dt J) = 2 (I - dt J/2)^-2 - (I - dt J)^-1 of the full Jacobian
         J, whose time error in a growth rate lambda is (lambda dt)^2/6.
         ``step_error`` keeps the largest local estimate
@@ -254,14 +248,20 @@ class FpStepper:
         taken, and ``fallback_steps`` counts those that kept the halves."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        rates = self.flux_coefficients(state.m)
-        u = self.coupling(rates, state.rho)
-        full = self._solve(rates, dt, state.rho, state.m, u)
-        half = self._solve(rates, 0.5 * dt, state.rho, state.m, u)
-        m_half = self._m(half)
-        rates = self.flux_coefficients(m_half)
-        halves = self._solve(rates, 0.5 * dt, half, m_half,
-                             self.coupling(rates, half))
+        rho, m = state.rho, state.m
+        if not math.isfinite(rho.sum()):
+            # before the coupling column, whose differences of an
+            # infinite cell are NaN
+            raise SchemeError(f"non-finite density at t={state.t:.6g}")
+        rates = self.flux_coefficients(m)
+        u = self.coupling(rates, rho)
+        y, z = self._solve(rates, dt, rho, u)
+        full = self._close(y, z, self._denominator(z, dt), m)
+        y, z = self._solve(rates, 0.5 * dt, rho, u)
+        denom = self._denominator(z, 0.5 * dt)
+        half = self._close(y, z, denom, m)
+        (y,) = self._solve(rates, 0.5 * dt, half)
+        halves = self._close(y, z, denom, m)
         self.step_error = max(self.step_error,
                               float(np.abs(halves - full).max()))
         rho_new = 2.0 * halves - full

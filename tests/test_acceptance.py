@@ -313,7 +313,7 @@ def test_c09_engine_agreement(dawson08):
     n_runs = 8
     m_start = 0.5
     grid = auto_grid(model, m_values=(0.0, 0.8), n_cells=1600)
-    from mvstab.fokkerplanck import init_from_model
+    from reference import init_from_model
     st = init_from_model(model, grid, m_start)
     # stride counts steps of the default dt: FP records 8.9e-2 apart
     fp = fp_evolve(st, model, grid, t_end=5.0, dt=default_dt(model, grid),

@@ -11,12 +11,13 @@ from scipy.linalg import solve_banded
 from mvstab.fokkerplanck import (FpGrid, FpState, FpStepper, SchemeError,
                                  auto_grid, bernoulli_slopes, default_dt,
                                  discrete_stationary, fp_evolve,
-                                 init_from_model, state_from_density)
+                                 state_from_density)
 from mvstab.model import ScalarMeanFieldModel, dawson_model
 from mvstab.numerics import fit_exp_rate
 from mvstab.perturb import make_perturbation
 
 from conftest import SIGMA_C_DAWSON_BETA1
+from reference import backward_euler, init_from_model
 
 IDENT = lambda x: np.asarray(x, dtype=float)
 
@@ -193,7 +194,7 @@ class TestDirectSolve:
         stepper = FpStepper(mdl, grid)
         rho, m, w_min = st.rho, st.m, np.inf
         for _ in range(500):
-            st = stepper.backward_euler(st, 5e-4)
+            st = backward_euler(stepper, st, 5e-4)
             rho, m, w = _banded_reference_step(mdl, grid, rho, m, 5e-4)
             w_min = min(w_min, w)
             assert np.array_equal(st.rho, rho) and st.m == m
@@ -365,9 +366,9 @@ class TestRichardsonStep:
         st = init_from_model(dawson08, grid, 0.3)
         stepper = FpStepper(dawson08, grid)
         dt = 0.02
-        full = stepper.backward_euler(st, dt)
-        halves = stepper.backward_euler(stepper.backward_euler(st, dt / 2),
-                                        dt / 2)
+        full = backward_euler(stepper, st, dt)
+        halves = backward_euler(stepper, backward_euler(stepper, st, dt / 2),
+                                dt / 2, at=st)
         out = stepper.step(st, dt)
         assert np.array_equal(out.rho, 2.0 * halves.rho - full.rho)
         assert out.t == st.t + dt
@@ -375,6 +376,31 @@ class TestRichardsonStep:
                               * grid.dx)
         assert stepper.step_error == np.abs(halves.rho - full.rho).max()
         assert stepper.fallback_steps == 0
+
+    def test_one_linearization_per_step(self, dawson08):
+        # one rate evaluation and one coupling column per step, and three
+        # dgtsv calls on five columns: BE(dt) and the first BE(dt/2) solve
+        # for [rho, u], the second BE(dt/2) for its one new column
+        grid = FpGrid(L=5.0, n_cells=400)
+        st = init_from_model(dawson08, grid, 0.3)
+        stepper = FpStepper(dawson08, grid)
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+            return wrapped
+        for name in ("flux_coefficients", "coupling", "_gtsv"):
+            setattr(stepper, name, counted(name, getattr(stepper, name)))
+        for n in range(1, 4):
+            st = stepper.step(st, 0.02)
+            names = [name for name, _ in calls]
+            assert names.count("flux_coefficients") == n
+            assert names.count("coupling") == n
+            rhs = [args[3] for name, args in calls if name == "_gtsv"]
+            assert len(rhs) == 3 * n
+            assert sum(b.shape[1] for b in rhs) == 5 * n
 
     def test_second_order_in_time(self, dawson08):
         # the end-point error in m against a fine run to t = 1 falls
@@ -403,9 +429,9 @@ class TestRichardsonStep:
                                 grid)
         stepper = FpStepper(dawson08, grid)
         dt = 0.05
-        full = stepper.backward_euler(st, dt)
-        halves = stepper.backward_euler(stepper.backward_euler(st, dt / 2),
-                                        dt / 2)
+        full = backward_euler(stepper, st, dt)
+        halves = backward_euler(stepper, backward_euler(stepper, st, dt / 2),
+                                dt / 2, at=st)
         assert (2.0 * halves.rho - full.rho).min() < -1e-14
         out = stepper.step(st, dt)
         assert np.array_equal(out.rho, halves.rho)

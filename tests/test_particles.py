@@ -290,7 +290,8 @@ class TestAgainstMeanFieldOracle:
     def test_cosine_mean_tracks_transport_solution(self):
         # the ensemble mean at t=1 must agree with the deterministic
         # transport oracle within the Monte Carlo band (4 SE)
-        from mvstab.fokkerplanck import (FpGrid, fp_evolve, init_from_model)
+        from mvstab.fokkerplanck import FpGrid, fp_evolve
+        from reference import init_from_model
         mdl = cosine_model(beta=2.0)
         m_start = 0.3       # not a root: the statistic genuinely moves
         grid = FpGrid(L=12.0, n_cells=1200)
