@@ -161,13 +161,16 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def write_report(out_dir: str, name: str, payload: dict) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path = os.path.join(out_dir, name)
+def _write_json(path: str, payload: dict) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def write_report(out_dir: str, name: str, payload: dict) -> str:
+    return _write_json(os.path.join(out_dir, name),
+                       {"schema_version": SCHEMA_VERSION, **payload})
 
 
 def write_csv(out_dir: str, name: str, header: list[str],
@@ -180,13 +183,10 @@ def write_csv(out_dir: str, name: str, header: list[str],
 
 
 def write_manifest(out_dir: str, command: str, files: list[str]):
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"command": command, "version": __version__,
-                   "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                   "files": sorted(os.path.basename(f) for f in files)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"),
+                {"command": command, "version": __version__,
+                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                 "files": sorted(os.path.basename(f) for f in files)})
 
 
 def svg_line_plot(path: str, title: str, xlabel: str, ylabel: str,
@@ -198,16 +198,12 @@ def svg_line_plot(path: str, title: str, xlabel: str, ylabel: str,
     mleft, mright, mtop, mbot = 70, 20, 40, 50
     pw, ph = width - mleft - mright, height - mtop - mbot
 
-    def finite(v):
-        v = np.asarray(v, dtype=float)
-        return v[np.isfinite(v)]
-
-    xs_all = np.concatenate([finite(x) for _, x, _ in series])
-    ys_all = []
-    for _, _, y in series:
-        y = finite(np.log10(np.maximum(y, 1e-300)) if logy else y)
-        ys_all.append(y)
-    ys_all = np.concatenate(ys_all)
+    xs = [np.asarray(x, dtype=float) for _, x, _ in series]
+    ys = [np.asarray(y, dtype=float) for _, _, y in series]
+    if logy:
+        ys = [np.log10(np.maximum(y, 1e-300)) for y in ys]
+    xs_all = np.concatenate([x[np.isfinite(x)] for x in xs])
+    ys_all = np.concatenate([y[np.isfinite(y)] for y in ys])
     x0, x1 = float(xs_all.min()), float(xs_all.max())
     y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 == x0:
@@ -249,12 +245,10 @@ def svg_line_plot(path: str, title: str, xlabel: str, ylabel: str,
         f'<text x="16" y="{height / 2}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 16 {height / 2})">'
         f'{ylabel}</text>')
-    for k, (name, x, y) in enumerate(series):
-        y = np.log10(np.maximum(np.asarray(y, dtype=float), 1e-300)) \
-            if logy else np.asarray(y, dtype=float)
+    for k, ((name, _, _), x, y) in enumerate(zip(series, xs, ys)):
         ok = np.isfinite(x) & np.isfinite(y)
         pts = " ".join(f"{sx(a):.1f},{sy(b):.1f}" for a, b in
-                       zip(np.asarray(x)[ok], y[ok]))
+                       zip(x[ok], y[ok]))
         color = colors[k % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
@@ -267,31 +261,11 @@ def svg_line_plot(path: str, title: str, xlabel: str, ylabel: str,
     return path
 
 
-def _model_block(model: ScalarMeanFieldModel) -> dict:
-    return {"name": model.name, "beta": model.beta, "sigma": model.sigma}
-
-
-def cmd_stationary(cfg: ExperimentConfig) -> int:
-    model = cfg.build()
-    rep = self_consistent_roots(model, scan_range=cfg.scan_range,
-                                n_scan=cfg.n_scan,
-                                grid_spec=cfg.grid_spec())
-    sigma_c = critical_sigma(model, (0.1 * model.sigma, 3.0 * model.sigma),
-                             grid_spec=cfg.grid_spec())
-    ms = np.linspace(*rep.scan_range, min(cfg.n_scan, 401))
-    files = [write_csv(cfg.directory, "psi.csv", ["m", "psi"],
-                       [ms, np.array([psi(rep.family, m) for m in ms])])]
-    files.append(write_report(cfg.directory, "stationary.json", {
-        "command": "stationary",
-        "model": _model_block(model),
-        "roots": list(map(float, rep.roots)),
-        "s0_per_root": list(map(float, rep.s0_per_root)),
-        "fold_flags": list(map(bool, rep.fold_flags)),
-        "branch_count": rep.branch_count,
-        "sigma_c": sigma_c,
-    }))
-    write_manifest(cfg.directory, "stationary", files)
-    return 0
+def _branches(model: ScalarMeanFieldModel, cfg: ExperimentConfig,
+              n_scan: int):
+    """The branch search over the config's scan window and grid."""
+    return self_consistent_roots(model, scan_range=cfg.scan_range,
+                                 n_scan=n_scan, grid_spec=cfg.grid_spec())
 
 
 def _require_branch(rep, model: ScalarMeanFieldModel):
@@ -308,18 +282,45 @@ def _analyze(model, m_root, cfg: ExperimentConfig):
                           cfg.degree)
 
 
+def _finish(cfg: ExperimentConfig, command: str,
+            model: ScalarMeanFieldModel, report: dict, files: list[str]):
+    """Write <command>.json, the report with the command and model
+    blocks added, then the manifest over it and ``files``."""
+    files.append(write_report(cfg.directory, f"{command}.json", {
+        "command": command,
+        "model": {"name": model.name, "beta": model.beta,
+                  "sigma": model.sigma},
+        **report}))
+    write_manifest(cfg.directory, command, files)
+
+
+def cmd_stationary(cfg: ExperimentConfig) -> int:
+    model = cfg.build()
+    rep = _branches(model, cfg, cfg.n_scan)
+    sigma_c = critical_sigma(model, (0.1 * model.sigma, 3.0 * model.sigma),
+                             grid_spec=cfg.grid_spec())
+    ms = np.linspace(*rep.scan_range, min(cfg.n_scan, 401))
+    files = [write_csv(cfg.directory, "psi.csv", ["m", "psi"],
+                       [ms, np.array([psi(rep.family, m) for m in ms])])]
+    _finish(cfg, "stationary", model, {
+        "roots": list(map(float, rep.roots)),
+        "s0_per_root": list(map(float, rep.s0_per_root)),
+        "fold_flags": list(map(bool, rep.fold_flags)),
+        "branch_count": rep.branch_count,
+        "sigma_c": sigma_c,
+    }, files)
+    return 0
+
+
 def cmd_spectrum(cfg: ExperimentConfig) -> int:
     model = cfg.build()
-    rep = self_consistent_roots(model, scan_range=cfg.scan_range,
-                                n_scan=cfg.n_scan, grid_spec=cfg.grid_spec())
+    rep = _branches(model, cfg, cfg.n_scan)
     if cfg.root == "all":
         targets = rep.roots
     else:
         _require_branch(rep, model)
-        targets = [min(rep.roots,
-                       key=lambda r: abs(r - cfg.root))]
-    blocks = []
-    files = []
+        targets = [min(rep.roots, key=lambda r: abs(r - cfg.root))]
+    blocks, files = [], []
     for i, m_root in enumerate(targets):
         br = _analyze(model, m_root, cfg)
         spectrum, coupling, mode = br.spectrum, br.coupling, br.mode
@@ -339,12 +340,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> int:
             "f_star": None if mode.f_star is None
             else [float(v) for v in mode.f_star],
         })
-    files.append(write_report(cfg.directory, "spectrum.json", {
-        "command": "spectrum",
-        "model": _model_block(model),
-        "roots": blocks,
-    }))
-    write_manifest(cfg.directory, "spectrum", files)
+    _finish(cfg, "spectrum", model, {"roots": blocks}, files)
     return 0
 
 
@@ -354,21 +350,14 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
     from .escape import escape_run
 
     model = cfg.build()
-    rep = self_consistent_roots(model, scan_range=cfg.scan_range,
-                                n_scan=cfg.n_scan, grid_spec=cfg.grid_spec())
+    rep = _branches(model, cfg, cfg.n_scan)
     _require_branch(rep, model)
     order = np.argsort(rep.s0_per_root)[::-1]
     m_root = rep.roots[int(order[0])]
     branch = _analyze(model, m_root, cfg)
-    files: list[str] = []
     if branch.mode.verdict != "unstable":
-        files.append(write_report(cfg.directory, "instability.json", {
-            "command": "instability",
-            "model": _model_block(model),
-            "status": "no-unstable-mode",
-            "m_root": float(m_root),
-        }))
-        write_manifest(cfg.directory, "instability", files)
+        _finish(cfg, "instability", model, {"status": "no-unstable-mode",
+                                            "m_root": float(m_root)}, [])
         print("no unstable mode: every branch has a nonpositive "
               "spectral abscissa")
         return 0
@@ -381,8 +370,8 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
                      custom_file=cfg.custom_file)
     t, m, pair, w1 = (res.series.times, res.series["m"],
                       res.series["pairing"], res.series["w1"])
-    files.append(write_csv(cfg.directory, "series.csv",
-                           ["t", "m", "fstar_pairing", "w1"], [t, m, pair, w1]))
+    files = [write_csv(cfg.directory, "series.csv",
+                       ["t", "m", "fstar_pairing", "w1"], [t, m, pair, w1])]
     files.append(svg_line_plot(
         os.path.join(cfg.directory, "instability.svg"),
         f"escape from the branch at m={res.m_center:.4g}", "t", "value",
@@ -390,8 +379,6 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
          ("|m - m_root|", t, np.abs(m - res.m_center)),
          ("W1", t, w1)], logy=True))
     report = {
-        "command": "instability",
-        "model": _model_block(model),
         "status": res.status,
         "m_root": float(m_root),
         "engine": cfg.engine,
@@ -406,14 +393,14 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
         "w1_initial": float(w1[0]),
         "w1_final": float(w1[-1]),
         "w1_at_escape": res.w1_at_escape,
+        "dt": res.dt,
+        "steps": res.steps,
     }
-    report.update(dt=res.dt, steps=res.steps)
     if cfg.engine == "fp":
         report.update(step_error=res.step_error,
                       fallback_steps=res.fallback_steps,
                       mass_drift=res.mass_drift)
-    files.append(write_report(cfg.directory, "instability.json", report))
-    write_manifest(cfg.directory, "instability", files)
+    _finish(cfg, "instability", model, report, files)
     if res.status == "inconclusive":
         print("inconclusive: the pairing did not grow across the fit "
               "window [2|c0|, 10|c0|] (fewer than three records in it, or "
@@ -424,13 +411,10 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
 
 def _sweep_point(model, sigma, cfg):
     mdl = model.with_params(sigma=sigma)
-    rep = self_consistent_roots(mdl, scan_range=cfg.scan_range,
-                                n_scan=max(401, cfg.n_scan // 4),
-                                grid_spec=cfg.grid_spec())
+    rep = _branches(mdl, cfg, max(401, cfg.n_scan // 4))
     _require_branch(rep, mdl)
     m0 = min(rep.roots, key=abs)
-    i0 = rep.roots.index(m0)
-    s0 = rep.s0_per_root[i0]
+    s0 = rep.s0_per_root[rep.roots.index(m0)]
     try:
         lam = _analyze(mdl, m0, cfg).mode.lambda_star
     except ValueError as exc:
@@ -458,18 +442,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                        [np.array([r[c] for r in rows]) for c in cols])]
     sigma_c = critical_sigma(model, (cfg.sigma_min, cfg.sigma_max),
                              grid_spec=cfg.grid_spec())
-    files.append(write_report(cfg.directory, "sweep.json", {
-        "command": "sweep",
-        "model": _model_block(model),
-        "sigma_c": sigma_c,
-        "n_points": len(rows),
-    }))
     files.append(svg_line_plot(
         os.path.join(cfg.directory, "sweep.svg"),
         "branch structure over the noise level", "sigma", "m, S0",
         [("m_plus", sigmas, np.array([r["m_plus"] for r in rows])),
          ("S0(0)", sigmas, np.array([r["s0_zero"] for r in rows]))]))
-    write_manifest(cfg.directory, "sweep", files)
+    _finish(cfg, "sweep", model, {"sigma_c": sigma_c, "n_points": len(rows)},
+            files)
     return 0
 
 
@@ -501,13 +480,9 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ValueError(f"--seed: {exc}") from None
         os.makedirs(cfg.directory, exist_ok=True)
-        if args.command == "stationary":
-            return cmd_stationary(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "instability":
-            return cmd_instability(cfg)
-        return cmd_sweep(cfg)
+        # looked up at call time, so that a cmd_* rebound on the module
+        # (as bench/tracer.py does) is the one that runs
+        return globals()[f"cmd_{args.command}"](cfg)
     except Exception as exc:     # noqa: BLE001 - single CLI error funnel
         print(f"error: {exc}", file=sys.stderr)
         return 1

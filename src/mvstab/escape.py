@@ -84,7 +84,12 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                          n_cells=n_cells)
         ss = discrete_stationary(model, grid, gibbs.m)
         m_center, x, dx = ss.m, grid.centers, grid.dx
-        fstar_x, ref_cdf = branch.fstar_at(x), np.cumsum(ss.rho) * dx
+        # beyond the nodes f_star is an extrapolated polynomial (up to
+        # 2e32 on rescaled_double_well's grid) on cells without mass: 0
+        inside = (x >= nodes[0]) & (x <= nodes[-1])
+        fstar_x = np.zeros_like(x)
+        fstar_x[inside] = branch.fstar_at(x[inside])
+        ref_cdf = np.cumsum(ss.rho) * dx
         fstar_ref = float(np.dot(fstar_x, ss.rho) * dx)
 
         def observe(s):

@@ -105,13 +105,9 @@ def bernoulli_slopes(w: np.ndarray, bm: np.ndarray, bp: np.ndarray):
         odd *= w2
         odd += c
     odd *= w
-    slope_minus, slope_plus = odd - 0.5, odd + 0.5
     big = np.abs(w) >= 0.5
-    if big.any():
-        wb, bmb, bpb = w[big], bm[big], bp[big]
-        slope_minus[big] = bmb * (1.0 - bpb) / wb
-        slope_plus[big] = bpb * (1.0 - bmb) / wb
-    return slope_minus, slope_plus
+    return (np.divide(bm * (1.0 - bp), w, out=odd - 0.5, where=big),
+            np.divide(bp * (1.0 - bm), w, out=odd + 0.5, where=big))
 
 
 class FpStepper:
@@ -159,14 +155,9 @@ class FpStepper:
         dc_minus = beta c B'(w) and dc_plus = -beta c B'(-w)."""
         b = self.a_if + self.beta_c_if * m
         w = b * (self.dx / self.D)
-        if w.all():
-            c_minus = b / np.expm1(w)
-            c_plus = c_minus * np.exp(w)
-        else:
-            c_minus, c_plus = np.full((2, w.size), self.D / self.dx)
-            nz = w != 0
-            c_minus[nz] = b[nz] / np.expm1(w[nz])
-            c_plus[nz] = c_minus[nz] * np.exp(w[nz])
+        c_minus = np.divide(b, np.expm1(w), where=w != 0,
+                            out=np.full_like(w, self.D / self.dx))
+        c_plus = c_minus * np.exp(w)
         diag = np.zeros(self.grid.n_cells)
         diag[:-1] -= c_plus
         diag[1:] -= c_minus

@@ -89,6 +89,17 @@ def run(cmd, cfg, *extra):
     return code
 
 
+def run_example(cmd, tmp_path, **values):
+    """Run one command on config.example.ini with the given model keys
+    replaced, writing into tmp_path/out."""
+    text = Path("config.example.ini").read_text()
+    for key, value in values.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    cfg = tmp_path / "example.ini"
+    cfg.write_text(text)
+    return run(cmd, str(cfg), "--out", str(tmp_path / "out"))
+
+
 def report(tmp_path, name):
     return json.loads((tmp_path / "out" / name).read_text())
 
@@ -361,19 +372,29 @@ class TestInstabilityCommand:
         # lambda_star = 6.55, so the default step is capped at 2.7e-3 /
         # lambda_star, and its 1,475 steps put enough records in the fit
         # window; at 20 dx/max|b| the run would stop at its first record
-        text = Path("config.example.ini").read_text()
-        for key, value in (("name", "cosine"), ("beta", "12.8"),
-                           ("sigma", repr(math.sqrt(2.0)))):
-            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
-        cfg = tmp_path / "cosine.ini"
-        cfg.write_text(text)
-        assert run("instability", str(cfg), "--out",
-                   str(tmp_path / "out")) == 0
+        assert run_example("instability", tmp_path, name="cosine",
+                           beta="12.8", sigma=repr(math.sqrt(2.0))) == 0
         rep = report(tmp_path, "instability.json")
         assert rep["status"] == "ok"
         assert rep["relative_error"] < 1e-2
         assert rep["fallback_steps"] == 0
         assert rep["dt"] * rep["lambda_star"] == pytest.approx(2.7e-3)
+
+    def test_fp_pairing_ignores_fstar_beyond_the_nodes(self, tmp_path):
+        # config.example.ini on rescaled_double_well: the FP grid reaches
+        # |x| = 25.9, past the quadrature nodes' 22.26, and there the
+        # degree-120 f_star grows to 2.2e32 over cells without mass;
+        # taken as 0 there, the pairing starts at c0 and the rate is
+        # resolved (relative error 2.65e-4)
+        assert run_example("instability", tmp_path,
+                           name="rescaled_double_well") == 0
+        rep = report(tmp_path, "instability.json")
+        assert rep["status"] == "ok"
+        assert rep["relative_error"] < 1e-3
+        series = np.genfromtxt(tmp_path / "out" / "series.csv",
+                               delimiter=",", names=True)
+        assert series["fstar_pairing"][0] == pytest.approx(
+            rep["initial_pairing"], rel=1e-3)
 
     def test_zero_amplitude_inconclusive(self, tmp_path):
         cfg = write_cfg(tmp_path, delta=0.0, t_end=2.0)
@@ -526,6 +547,18 @@ class TestMainEntry:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["stationary", "spectrum",
+                                         "instability", "sweep"])
+    def test_command_looked_up_on_the_module(self, tmp_path, monkeypatch,
+                                             command):
+        # bench/tracer.py rebinds cli.cmd_* after import, so main must run
+        # what the module holds when it is called
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda cfg: seen.append(cfg.name) or 7)
+        assert main([command, "--config", write_cfg(tmp_path)]) == 7
+        assert seen == ["dawson"]
 
 
 class TestStartUpImports:

@@ -219,9 +219,12 @@ class TestRates:
         # the diagonal of dx A: minus each cell's outflow rate
         assert np.array_equal(diag, -(np.append(c_plus, 0.0)
                                       + np.insert(c_minus, 0, 0.0)))
-        if w_max == 0.0:
-            assert (c_plus == D / grid.dx).all()
-            assert (c_minus == D / grid.dx).all()
+        # where w = 0, at every interface for w_max = 0 and at x = 0
+        # otherwise, both rates are D/dx exactly
+        zero = w == 0.0
+        assert zero.sum() == (w.size if w_max == 0.0 else 1)
+        assert (c_plus[zero] == D / grid.dx).all()
+        assert (c_minus[zero] == D / grid.dx).all()
         if w_max <= 2.0:
             # the former delta form, delta(w) = 1/w - 1/(e^w - 1)
             small = np.abs(w) < 1e-8
