@@ -95,7 +95,7 @@ CONFIG_KEYS = {
                           else _finite(float)(raw), "all")},
     "perturbation": {
         "delta": (_positive(float, "nonnegative", zero_ok=True), "1e-3"),
-        "M": (_auto(_finite(float)), "auto"),
+        "M": (_auto(_positive(float, "positive or auto")), "auto"),
         "direction": (_choice("adjoint-re", "custom-file"), "adjoint-re"),
         "custom_file": (_optional(str), None)},
     "simulation": {"engine": (_choice("fp", "particles"), "fp"),
@@ -120,7 +120,8 @@ class ExperimentConfig(SimpleNamespace):
 
     @property
     def scan_range(self) -> tuple[float, float] | None:
-        if self.scan_min is None or self.scan_max is None:
+        # load_config admits both bounds or neither
+        if self.scan_min is None:
             return None
         return (self.scan_min, self.scan_max)
 
@@ -153,6 +154,10 @@ def load_config(path: str) -> ExperimentConfig:
                 values[key] = parse(cp.get(section, key, fallback=default))
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
+    for key, other in (("scan_min", "scan_max"), ("scan_max", "scan_min")):
+        if values[key] is not None and values[other] is None:
+            raise ValueError(f"[stationary] {key}: set {other} too, or "
+                             "neither")
     for section, lo, hi in (("stationary", "scan_min", "scan_max"),
                             ("sweep", "sigma_min", "sigma_max")):
         if None not in (values[lo], values[hi]) and values[lo] >= values[hi]:

@@ -75,7 +75,8 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                                        M=M, custom_file=custom_file)
     gibbs, model = branch.gibbs, branch.gibbs.model
     nodes = gibbs.rule.nodes
-    c0 = delta * gibbs.moment(spec.g_M_at(nodes) * branch.fstar_at(nodes))
+    fstar_nodes = branch.fstar_at(nodes)
+    c0 = delta * gibbs.moment(spec.g_M_at(nodes) * fstar_nodes)
     band = 10.0 * delta
     stop_level = stop_band_factor * band
 
@@ -102,15 +103,14 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                       model, grid)
     elif engine == "particles":
         m_center, ref_cdf = gibbs.m, gibbs.cdf
-        fstar_x = branch.fstar_at(nodes)
-        fstar_ref = gibbs.moment(fstar_x)
+        fstar_ref = gibbs.moment(fstar_nodes)
 
         def observe(e):
             # one sort serves both channels; interp is an order of
             # magnitude faster on sorted positions
             s = np.sort(e.positions)
-            return {"pairing": float(np.mean(np.interp(s, nodes, fstar_x)))
-                    - fstar_ref,
+            pairing = float(np.mean(np.interp(s, nodes, fstar_nodes)))
+            return {"pairing": pairing - fstar_ref,
                     "w1": w1_density(nodes, empirical_cdf(s, nodes), ref_cdf)}
         xs = sample_measure(mu_delta, n_particles, seed=seed)
         dt = relaxation_dt_bound(model) if dt is None else dt

@@ -285,20 +285,12 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
     ``rate`` > 0 caps rate * dt at 2.7e-3, where the step's own time error
     in that rate, (rate dt)^2/6, is 1.2e-6.
 
-    The drift maximum is taken at m = +-1 over the occupied region
-    (stationary log-density within 28 nats of its peak); the outer cells
-    carry no mass, and the implicit solves are unconditionally stable
-    there anyway.  A log-density that is not finite on the grid is
-    rejected.
+    The drift maximum is taken at m = +-1 over the occupied cells
+    (``ScalarMeanFieldModel.occupied``); the outer cells carry no mass,
+    and the implicit solves are unconditionally stable there anyway.
     """
-    x = grid.centers
-    lg = model.log_gibbs0(x)
-    if not np.isfinite(lg).all():
-        i = int(np.argmax(~np.isfinite(lg)))
-        raise ValueError(
-            f"log-density of {model.name} is not finite at x={x[i]:g}; "
-            "the FP default step needs it on every cell")
-    xs = x[lg > lg.max() - 28.0]
+    xs = model.occupied(grid.centers,
+                        "the FP default step needs it on every cell")
     bmax = max(abs(model.drift(xs, 1.0)).max(),
                abs(model.drift(xs, -1.0)).max())
     dt = 20.0 * grid.dx / max(bmax, 1e-12)
@@ -308,23 +300,21 @@ def default_dt(model: ScalarMeanFieldModel, grid: FpGrid,
 
 
 def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid, *,
-              t_end: float, dt: float | None = None,
+              t_end: float, dt: float,
               observe: Callable[[FpState], dict] | None = None,
               stride: int = 1,
               stop_condition: Callable[[float, float], bool] | None = None
               ) -> TimeSeries:
-    """Evolve through ``metrics.record_run`` with the keywords of the
-    particle engine's ``evolve``.
+    """Evolve by steps of ``dt`` through ``metrics.record_run`` with the
+    keywords of the particle engine's ``evolve``.
 
-    ``observe`` maps a state to the dict of its record's channels;
-    ``dt=None`` selects ``default_dt``.  Each record also gets the
-    channels ``step_error``, the largest local error estimate of the
-    steps taken up to it (see ``FpStepper.step``), ``fallback_steps``,
-    the number of those steps that kept the two half steps, and
-    ``mass_drift``, |mass - 1| of its state.
+    ``observe`` maps a state to the dict of its record's channels.  Each
+    record also gets the channels ``step_error``, the largest local
+    error estimate of the steps taken up to it (see ``FpStepper.step``),
+    ``fallback_steps``, the number of those steps that kept the two half
+    steps, and ``mass_drift``, |mass - 1| of its state.
     """
     stepper = FpStepper(model, grid)
-    dt = default_dt(model, grid) if dt is None else dt
 
     def observe_fp(s):
         return {**(observe(s) if observe else {}),
@@ -345,10 +335,9 @@ def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,
     within O(dx^2) of the continuum branch.
     """
     stepper = FpStepper(model, grid)
-    gc = model.g(grid.centers)
 
     def resid(m):
-        return float(np.dot(gc, stepper.steady_profile(m)) * grid.dx) - m
+        return stepper._m(stepper.steady_profile(m)) - m
 
     if abs(resid(m_guess)) < 1e-14:
         m_star = float(m_guess)
@@ -361,5 +350,5 @@ def discrete_stationary(model: ScalarMeanFieldModel, grid: FpGrid,
                 f"{window} of {m_guess}")
         m_star = min(roots, key=lambda r: abs(r - m_guess))
     rho = stepper.steady_profile(m_star)
-    return FpState(rho=rho, t=0.0, m=float(np.dot(gc, rho) * grid.dx))
+    return FpState(rho=rho, t=0.0, m=stepper._m(rho))
 

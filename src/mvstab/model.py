@@ -54,6 +54,19 @@ class ScalarMeanFieldModel:
         """Gibbs log-density at coupling m, up to a constant in m."""
         return self.log_gibbs0(x) + (self.kappa * m) * self.coupling_v(x)
 
+    def occupied(self, x: np.ndarray, need: str) -> np.ndarray:
+        """The points of x where log_gibbs0 sits within 28 nats of its
+        maximum over x (pointwise ~1e-12): the stationary support the
+        default step sizes are taken over.  A log-density that is not
+        finite at some x is rejected, and ``need`` says what needed it."""
+        lg = self.log_gibbs0(x)
+        if not np.isfinite(lg).all():
+            i = int(np.argmax(~np.isfinite(lg)))
+            raise ValueError(
+                f"log-density of {self.name} is not finite at x={x[i]:g}; "
+                f"{need}")
+        return x[lg >= lg.max() - 28.0]
+
     def with_params(self, sigma: float) -> "ScalarMeanFieldModel":
         """Rebuild the same builtin family at a new noise level."""
         if self.name not in BUILTIN_MODELS:

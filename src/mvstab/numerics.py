@@ -44,10 +44,6 @@ class QuadratureRule:
         if not np.all(weights > 0):
             raise ValueError("quadrature weights must be strictly positive")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
 
 # leggauss takes ~8 ms at the default degree and every Gibbs law asks
 # for a rule; the cached arrays are shared and only read below

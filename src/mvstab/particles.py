@@ -145,20 +145,13 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
     Without the feedback term in K the step was 0.16 on cosine, and its
     gap 2.5e-3 at beta = 1 and 8e-3 at beta = 12.8.
 
-    The support half-width comes from the Gibbs log-density decay
-    (pointwise ~1e-12) on |x| <= 64; a log-density that is not finite
-    there is rejected.
+    The support half-width is that of the occupied points
+    (``ScalarMeanFieldModel.occupied``) of |x| <= 64, without the
+    quadrature safety margin.
     """
-    # raw support: where the log-density sits within 28 nats of its
-    # peak (pointwise ~1e-12), without the quadrature safety margin
     scan = np.linspace(-64.0, 64.0, 8193)
-    lg = model.log_gibbs0(scan)
-    if not np.isfinite(lg).all():
-        i = int(np.argmax(~np.isfinite(lg)))
-        raise ValueError(
-            f"log-density of {model.name} is not finite at x={scan[i]:g}; "
-            "the relaxation guard needs it on |x| <= 64")
-    L = float(np.abs(scan[lg >= lg.max() - 28.0]).max())
+    L = float(np.abs(model.occupied(
+        scan, "the relaxation guard needs it on |x| <= 64")).max())
     xs = np.linspace(-L, L, 2001)
 
     def slope(f):

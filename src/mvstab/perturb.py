@@ -127,13 +127,9 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
         mu = gibbs.rule.weights * gibbs.density
         h_poly = (basis.node_values * mu) @ h_vals
     elif direction == "adjoint-re":
+        # the adjoint has no constant component (``unstable_mode``)
         coeff_eig = np.array(branch.mode.adjoint_vec, dtype=float)
-        # constants do not perturb a probability law
-        coeff_eig[0] = 0.0
-        nrm = np.linalg.norm(coeff_eig)
-        if nrm == 0:
-            raise ValueError("perturbation direction is identically constant")
-        coeff_eig /= nrm
+        coeff_eig /= np.linalg.norm(coeff_eig)
         h_poly = branch.spectrum.vectors @ coeff_eig
         h_vals = h_poly @ basis.node_values
     else:

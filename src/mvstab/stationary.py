@@ -84,10 +84,7 @@ def auto_half_width(model: ScalarMeanFieldModel, m_values=(0.0,)) -> float:
                 raise ValueError(
                     "log-density does not decay by 46.0 nats within "
                     "|x| <= 2048.0")
-        above = np.abs(xs[rel >= -46.0])
-        if above.size == 0:
-            raise ValueError("log-density has no resolvable peak on the scan")
-        L = max(L, above.max())
+        L = max(L, np.abs(xs[rel >= -46.0]).max())
     return 1.15 * L + 0.5
 
 
@@ -201,31 +198,23 @@ class GibbsFamily:
 
 
 def _family(model: ScalarMeanFieldModel, m: float,
-            grid_spec: GridSpec | None = None,
-            rule: QuadratureRule | None = None) -> GibbsFamily:
-    """The family on ``rule``, or on a rule fitted to m from the spec."""
-    if rule is None:
-        grid_spec = grid_spec or GridSpec()
-        if grid_spec.n_nodes < 256:
-            raise ValueError("grid resolution must be at least 256 nodes")
-        rule = make_rule(model, grid_spec, m_values=(m,))
-    return GibbsFamily(model, rule)
+            grid_spec: GridSpec | None = None) -> GibbsFamily:
+    """The family on the spec's rule fitted to m."""
+    grid_spec = grid_spec or GridSpec()
+    if grid_spec.n_nodes < 256:
+        raise ValueError("grid resolution must be at least 256 nodes")
+    return GibbsFamily(model, make_rule(model, grid_spec, m_values=(m,)))
 
 
 def build_gibbs(model: ScalarMeanFieldModel, m: float,
-                grid_spec: GridSpec | None = None,
-                rule: QuadratureRule | None = None) -> GibbsMeasure:
-    """Gibbs law mu_m on a quadrature grid (``GibbsFamily.at``).
-
-    A pre-built rule can be passed to share one grid across many m
-    values; otherwise the grid spec's rule is fitted to m.
-    """
-    return _family(model, m, grid_spec, rule).at(m)
+                grid_spec: GridSpec | None = None) -> GibbsMeasure:
+    """Gibbs law mu_m on the grid spec's rule fitted to m
+    (``GibbsFamily.at``)."""
+    return _family(model, m, grid_spec).at(m)
 
 
 def psi(model: ScalarMeanFieldModel | GibbsFamily, m: float,
-        grid_spec: GridSpec | None = None,
-        rule: QuadratureRule | None = None) -> float:
+        grid_spec: GridSpec | None = None) -> float:
     """Self-consistency residual psi(m) = mu_m(g) - m.
 
     Given a ``GibbsFamily`` in place of the model, psi reuses its node
@@ -233,25 +222,9 @@ def psi(model: ScalarMeanFieldModel | GibbsFamily, m: float,
     divides the one sum by the tilt's integral.
     """
     family = (model if isinstance(model, GibbsFamily)
-              else _family(model, m, grid_spec, rule))
+              else _family(model, m, grid_spec))
     w, z = family._tilt(m)
     return float(np.dot(family.wg, w)) / z - float(m)
-
-
-def stability_indicator(model: ScalarMeanFieldModel, m_root: float) -> float:
-    """Branch indicator S0 = kappa Cov_mu(v, g) at a root.
-
-    S0 > 1 signals a positive root of the secular equation, hence an
-    unstable branch; S0 = 1 + psi'(m_root) for any model, by the tilt.
-    A root off by more than 1e-8 in psi is rejected.
-    """
-    family = _family(model, m_root)
-    resid = psi(family, m_root)
-    if abs(resid) > 1e-8:
-        raise ValueError(
-            f"m={m_root!r} is not self-consistent: |psi| = {abs(resid):.2e} "
-            "> 1e-08")
-    return family.indicator(m_root)
 
 
 # Default psi scan ranges: the fixed-point map is bounded by ~1 for the

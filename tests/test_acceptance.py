@@ -16,7 +16,7 @@ import pytest
 from mvstab.escape import escape_run
 from mvstab.fokkerplanck import (auto_grid, default_dt, discrete_stationary,
                                  fp_evolve, state_from_density)
-from mvstab.metrics import empirical_cdf, w1_density, w1_empirical
+from mvstab.metrics import w1_density, w1_empirical
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import dense_spectrum, find_roots, fit_exp_rate
 from mvstab.particles import evolve, make_ensemble
@@ -25,7 +25,7 @@ from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              dirichlet_matrix, full_generator_matrix,
                              linearized_propagate)
 from mvstab.stationary import (GridSpec, build_gibbs, critical_sigma, psi,
-                               self_consistent_roots, stability_indicator)
+                               self_consistent_roots)
 
 SIGMA_C = 0.9559775949676983          # frozen bisection value, checked in c4
 _LINES: list[str] = []
@@ -146,7 +146,7 @@ def test_c04_dawson_phase_structure():
     sup = model.with_params(sigma=1.2 * sigma_c)
     rep_sup = self_consistent_roots(sup)
     ok = ok and rep_sup.branch_count == 1
-    ok = ok and stability_indicator(sup, 0.0) < 1.0
+    ok = ok and rep_sup.s0_per_root[0] < 1.0
     pipe_sup = analyze_branch(build_gibbs(sup, 0.0), 120)
     lam_sup = pipe_sup.mode.lambda_star
     ok = ok and lam_sup is None
@@ -224,35 +224,25 @@ def test_c07_particle_escape(dawson08):
     #   rather than > 10.
     # The mean-field engine confirms the predicted escape in criterion 6.
     t0 = time.perf_counter()
-    gibbs = dawson08.gibbs
-    model = gibbs.model
     delta = 1e-3
-    n = 100_000
     band = 10 * delta
-    pspec, mu_delta = make_perturbation(dawson08, delta=delta)
-    nodes = gibbs.rule.nodes
-    fstar_nodes = dawson08.fstar_at(nodes)
-    c0 = delta * gibbs.moment(pspec.g_M_at(nodes) * fstar_nodes)
-    ref_cdf = gibbs.cdf
+    roots = self_consistent_roots(dawson08.gibbs.model).roots
 
     exits = signs_ok = ratio_ok = 0
     details = []
     for seed in range(8):
-        xs = sample_measure(mu_delta, n, seed=seed)
-        w1_0 = w1_density(nodes, empirical_cdf(xs, nodes), ref_cdf)
-        # stride counts steps of the default dt: records 8.8e-3 apart
-        ts = evolve(make_ensemble(xs, model, seed=seed), model, t_end=40.0,
-                    observe=lambda e: {"w1": w1_density(
-                        nodes, empirical_cdf(e.positions, nodes), ref_cdf)},
-                    stride=1,
-                    stop_condition=lambda t, m: abs(m) > 3 * band)
-        m = ts["m"]
+        # stride counts steps of the default dt: records 8.8e-3 apart;
+        # the run stops beyond |m| = 3 bands, as the branch is m = 0
+        res = escape_run(dawson08, roots, engine="particles", delta=delta,
+                         t_end=40.0, stride=1, stop_band_factor=3.0,
+                         n_particles=100_000, seed=seed)
+        m, w1 = res.series["m"], res.series["w1"]
         out = np.abs(m) > band
         exited = bool(out.any())
         exits += exited
-        sign_match = exited and np.sign(m[-1]) == np.sign(c0)
+        sign_match = exited and np.sign(m[-1]) == np.sign(res.initial_pairing)
         signs_ok += sign_match
-        ratio = float(ts["w1"][out][0] / w1_0) if exited else 0.0
+        ratio = float(w1[out][0] / w1[0]) if exited else 0.0
         ratio_ok += ratio > 10.0
         details.append(f"s{seed}:{'+' if sign_match else '-'}"
                        f"r{ratio:.1f}")

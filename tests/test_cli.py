@@ -200,7 +200,8 @@ class TestConfig:
         ("stationary", "scan_min", "-inf"), ("stationary", "scan_max", "nan"),
         ("stationary", "scan_min", "4"), ("spectrum", "root", "nan"),
         ("spectrum", "root", "inf"), ("perturbation", "M", "nan"),
-        ("perturbation", "M", "inf"), ("simulation", "seed", "-1"),
+        ("perturbation", "M", "inf"), ("perturbation", "M", "0"),
+        ("perturbation", "M", "-1"), ("simulation", "seed", "-1"),
         ("perturbation", "direction", "adjoint-im")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
@@ -214,6 +215,18 @@ class TestConfig:
         path.write_text(text if found else text + f"[{section}]\n{line}")
         assert run("instability", str(path)) == 1
         assert f"error: [{section}] {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, other", [("scan_min", "scan_max"),
+                                            ("scan_max", "scan_min")])
+    def test_lone_scan_bound_rejected(self, tmp_path, capsys, key, other):
+        # one bound alone would be dropped for the model's default window
+        path = Path(write_cfg(tmp_path))
+        path.write_text(re.sub(rf"^{other} = .*\n", "", path.read_text(),
+                               flags=re.M))
+        assert run("stationary", str(path)) == 1
+        assert (f"error: [stationary] {key}: set {other} too, or neither"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEmptyScanWindow:
@@ -485,7 +498,8 @@ class TestCustomDirection:
 
     def test_zero_truncation_level_rejected(self, tmp_path, capsys):
         assert run("instability", self.custom_cfg(tmp_path, "0")) == 1
-        assert "truncation level M must be positive" in capsys.readouterr().err
+        assert ("error: [perturbation] M: must be positive or auto, got '0'"
+                in capsys.readouterr().err)
 
 
 class TestSweepCommand:

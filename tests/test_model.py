@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,18 @@ class TestLogGibbs:
         m = rescaled_double_well_model(beta=1.0, sigma=0.7)
         assert m.log_gibbs(np.array(0.0), 0.0) == pytest.approx(
             -1.0 / (2 * 0.7 ** 2))
+
+    def test_occupied_keeps_the_28_nat_edge(self):
+        # both step-size defaults take their support from this one rule
+        m = replace(cosine_model(), log_gibbs0=lambda x: -np.abs(x))
+        x = np.array([-30.0, -28.0, 0.0, 27.5, 28.5])
+        np.testing.assert_array_equal(m.occupied(x, "unused"),
+                                      [-28.0, 0.0, 27.5])
+        holed = replace(m, log_gibbs0=lambda x: np.where(x == 0.0, np.nan,
+                                                          -np.abs(x)))
+        with pytest.raises(ValueError, match="cosine is not finite at x=0; "
+                                             "the test needs it"):
+            holed.occupied(x, "the test needs it")
 
 
 class TestFrozenDriftConsistency:

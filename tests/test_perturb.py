@@ -120,7 +120,7 @@ class TestPerturbedMeasure:
     def test_nonfinite_observable_names_node(self, setup):
         # the perturbed law shares the base law's checked moment
         _, _, mu_d = setup
-        vals = np.zeros(mu_d.rule.n_nodes)
+        vals = np.zeros(mu_d.rule.nodes.size)
         vals[3] = -np.inf
         with pytest.raises(ValueError, match=re.escape(
                 f"not finite at node x={mu_d.rule.nodes[3]!r}")):

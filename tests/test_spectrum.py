@@ -11,8 +11,7 @@ from mvstab.spectrum import (RankOneCoupling, analyze_branch, base_spectrum,
                              full_generator_matrix, linearized_propagate,
                              secular_function, solve_secular, unstable_mode)
 from mvstab.stationary import (GibbsFamily, GridSpec, build_gibbs,
-                               make_rule, self_consistent_roots,
-                               stability_indicator)
+                               make_rule, self_consistent_roots)
 
 from conftest import SIGMA_C_DAWSON_BETA1
 
@@ -202,7 +201,7 @@ class TestSecular:
 
     def test_matches_stability_indicator(self, dawson_sub):
         s = dawson_sub
-        s0 = stability_indicator(s.gibbs.model, s.gibbs.m)
+        s0 = GibbsFamily(s.gibbs.model, s.gibbs.rule).indicator(s.gibbs.m)
         assert secular_function(s.spectrum, s.coupling, 0.0) == pytest.approx(
             s0, abs=1e-6)
 

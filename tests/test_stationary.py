@@ -8,8 +8,7 @@ from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import find_roots
 from mvstab.stationary import (GibbsFamily, GridSpec, TruncationError,
                                auto_half_width, build_gibbs, critical_sigma,
-                               make_rule, psi, self_consistent_roots,
-                               stability_indicator)
+                               make_rule, psi, self_consistent_roots)
 
 # bisection value, cross-checked against the closed form
 # 2 sqrt(2) Gamma(3/4) / Gamma(1/4) in test_critical_sigma_closed_form
@@ -100,7 +99,7 @@ class TestMoment:
 
     def test_nonfinite_value_names_node(self):
         g = build_gibbs(dawson_model(1.0, 0.6), 0.0)
-        vals = np.zeros(g.rule.n_nodes)
+        vals = np.zeros(g.rule.nodes.size)
         vals[3] = np.inf
         with pytest.raises(ValueError, match="not finite at node"):
             g.moment(vals)
@@ -122,13 +121,15 @@ class TestGibbsFamily:
         z = float(np.dot(rule.weights, w))
         ref = w / z
         np.testing.assert_array_equal(fam.at(m).density, ref)
-        np.testing.assert_array_equal(build_gibbs(mdl, m, rule=rule).density,
-                                      ref)
+        # from the model, the family on the default rule fitted to m
+        own = GibbsFamily(mdl, make_rule(mdl, GridSpec(), (m,)))
+        np.testing.assert_array_equal(build_gibbs(mdl, m).density,
+                                      own.at(m).density)
+        np.testing.assert_array_equal(psi(mdl, m), psi(own, m))
         # psi divides one sum by z instead of normalizing node by node
         g = mdl.g(rule.nodes)
         direct = float(np.dot(rule.weights * g, w)) / z - m
         np.testing.assert_array_equal(psi(fam, m), direct)
-        np.testing.assert_array_equal(psi(mdl, m, rule=rule), psi(fam, m))
         normalized = float(np.dot(rule.weights * ref, g)) - m
         assert abs(psi(fam, m) - normalized) <= 1e-15
 
@@ -214,18 +215,20 @@ class TestSelfConsistentRoots:
         assert np.all(np.diff(mplus) < 0)
 
 
+def s0_at_zero(mdl):
+    """S0 of the symmetric branch, as the branch search reports it."""
+    rep = self_consistent_roots(mdl)
+    return rep.s0_per_root[rep.roots.index(min(rep.roots, key=abs))]
+
+
 class TestStabilityIndicator:
     def test_beta_zero(self):
-        assert stability_indicator(dawson_model(0.0, 0.6), 0.0) == pytest.approx(
+        assert s0_at_zero(dawson_model(0.0, 0.6)) == pytest.approx(
             0.0, abs=1e-14)
 
     def test_supercritical_symmetric_root(self):
         mdl = dawson_model(beta=1.0, sigma=0.8 * SIGMA_C_DAWSON_BETA1)
-        assert stability_indicator(mdl, 0.0) > 1.0
-
-    def test_requires_self_consistency(self):
-        with pytest.raises(ValueError, match="not self-consistent"):
-            stability_indicator(dawson_model(1.0, 0.6), 0.4)
+        assert s0_at_zero(mdl) > 1.0
 
     @pytest.mark.parametrize("mdl", [dawson_model(1.0, 0.7),
                                      rescaled_double_well_model(1.0, 0.7),
@@ -248,8 +251,8 @@ class TestCriticalSigma:
         mdl = dawson_model(beta=1.0, sigma=0.6)
         sigma_c = critical_sigma(mdl, (0.1, 3.0))
         assert sigma_c == pytest.approx(SIGMA_C_DAWSON_BETA1, abs=1e-9)
-        assert stability_indicator(mdl.with_params(sigma=0.8 * sigma_c), 0.0) > 1
-        assert stability_indicator(mdl.with_params(sigma=1.2 * sigma_c), 0.0) < 1
+        assert s0_at_zero(mdl.with_params(sigma=0.8 * sigma_c)) > 1
+        assert s0_at_zero(mdl.with_params(sigma=1.2 * sigma_c)) < 1
 
     def test_closed_form(self):
         # for the quartic well at beta=1 the crossing solves
@@ -261,7 +264,7 @@ class TestCriticalSigma:
     def test_absent_for_beta_zero(self):
         mdl = dawson_model(beta=0.0, sigma=0.6)
         assert critical_sigma(mdl, (0.1, 3.0)) is None
-        assert stability_indicator(mdl, 0.0) == 0.0
+        assert s0_at_zero(mdl) == 0.0
 
     def test_absent_for_subthreshold_cosine(self):
         # at m = 0 the cosine covariance indicator vanishes identically
