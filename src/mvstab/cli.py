@@ -158,6 +158,11 @@ def load_config(path: str) -> ExperimentConfig:
         if values[key] is not None and values[other] is None:
             raise ValueError(f"[stationary] {key}: set {other} too, or "
                              "neither")
+    custom = values["direction"] == "custom-file"
+    if custom != (values["custom_file"] is not None):
+        raise ValueError("[perturbation] custom_file: " + (
+            "direction = custom-file needs it" if custom
+            else "direction = adjoint-re does not read it"))
     for section, lo, hi in (("stationary", "scan_min", "scan_max"),
                             ("sweep", "sigma_min", "sigma_max")):
         if None not in (values[lo], values[hi]) and values[lo] >= values[hi]:

@@ -60,7 +60,9 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
     """Perturb an unstable branch by delta, run one engine, fit the rate.
 
     ``direction``, ``M`` and ``custom_file`` select the perturbation as
-    in ``make_perturbation``.  ``roots`` are all stationary branches of
+    in ``make_perturbation``: "particles" samples its law, "fp" weights
+    the steady cells by 1 + delta ``g_M_at``, and f_star reads 0 beyond
+    the quadrature nodes on both.  ``roots`` are all stationary branches of
     the model; they size the transport grid and name the branch the run
     approaches.  The run escapes when |m - m_center| leaves the band
     10 delta and stops beyond ``stop_band_factor`` bands.  The rate is
@@ -71,12 +73,12 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
     growth-rate cap at lambda_star; ``n_cells`` applies to "fp",
     ``n_particles`` and ``seed`` to "particles".
     """
-    spec, mu_delta = make_perturbation(branch, delta, direction=direction,
-                                       M=M, custom_file=custom_file)
+    pert = make_perturbation(branch, delta, direction=direction, M=M,
+                             custom_file=custom_file)
     gibbs, model = branch.gibbs, branch.gibbs.model
     nodes = gibbs.rule.nodes
     fstar_nodes = branch.fstar_at(nodes)
-    c0 = delta * gibbs.moment(spec.g_M_at(nodes) * fstar_nodes)
+    c0 = delta * gibbs.moment(pert.g_M * fstar_nodes)
     band = 10.0 * delta
     stop_level = stop_band_factor * band
 
@@ -85,18 +87,14 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                          n_cells=n_cells)
         ss = discrete_stationary(model, grid, gibbs.m)
         m_center, x, dx = ss.m, grid.centers, grid.dx
-        # beyond the nodes f_star is an extrapolated polynomial (up to
-        # 2e32 on rescaled_double_well's grid) on cells without mass: 0
-        inside = (x >= nodes[0]) & (x <= nodes[-1])
-        fstar_x = np.zeros_like(x)
-        fstar_x[inside] = branch.fstar_at(x[inside])
+        fstar_x = branch.fstar_at(x)
         ref_cdf = np.cumsum(ss.rho) * dx
         fstar_ref = float(np.dot(fstar_x, ss.rho) * dx)
 
         def observe(s):
             return {"pairing": float(np.dot(fstar_x, s.rho) * dx) - fstar_ref,
                     "w1": w1_density(x, np.cumsum(s.rho) * dx, ref_cdf)}
-        rho0 = ss.rho * (1.0 + delta * spec.g_M_at(x))
+        rho0 = ss.rho * (1.0 + delta * pert.g_M_at(x))
         if dt is None:
             dt = default_dt(model, grid, rate=branch.mode.lambda_star)
         run = partial(fp_evolve, state_from_density(rho0, model, grid),
@@ -107,12 +105,14 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
 
         def observe(e):
             # one sort serves both channels; interp is an order of
-            # magnitude faster on sorted positions
+            # magnitude faster on sorted positions.  Beyond the nodes
+            # f_star reads 0, as ``fstar_at`` does
             s = np.sort(e.positions)
-            pairing = float(np.mean(np.interp(s, nodes, fstar_nodes)))
+            pairing = float(np.mean(np.interp(s, nodes, fstar_nodes,
+                                              left=0.0, right=0.0)))
             return {"pairing": pairing - fstar_ref,
                     "w1": w1_density(nodes, empirical_cdf(s, nodes), ref_cdf)}
-        xs = sample_measure(mu_delta, n_particles, seed=seed)
+        xs = sample_measure(pert.law, n_particles, seed=seed)
         dt = relaxation_dt_bound(model) if dt is None else dt
         run = partial(evolve, make_ensemble(xs, model, seed=seed), model)
     else:

@@ -164,7 +164,7 @@ def relaxation_dt_bound(model: ScalarMeanFieldModel) -> float:
 
 
 def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
-           t_end: float, dt: float | None = None,
+           t_end: float, dt: float,
            observe: Callable[[Ensemble], dict] | None = None,
            stride: int = 1,
            stop_condition: Callable[[float, float], bool] | None = None
@@ -172,18 +172,17 @@ def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
     """Run the particle system through ``metrics.record_run``.
 
     ``observe`` maps an ensemble to the dict of its record's channels;
-    ``dt=None`` selects the relaxation guard bound, and a larger step is
-    rejected.  While step k runs, a one-worker thread pool draws the
-    increments of step k + 1 into buffer (k + 1) % 2, so the draw never
-    writes the buffer step k reads.  Each draw is checked against the
-    (seed, step, n) key of the ensemble that uses it, and a failed draw
-    is raised as itself; the draw made after the last step is waited
-    for but never used.  Leaving the pool's ``with`` block joins its
-    worker on every exit.  The series are bit-identical to those of a
-    plain loop of ``step``.
+    a step above the relaxation guard bound is rejected.  While step k
+    runs, a one-worker thread pool draws the increments of step k + 1
+    into buffer (k + 1) % 2, so the draw never writes the buffer step k
+    reads.  Each draw is checked against the (seed, step, n) key of the
+    ensemble that uses it, and a failed draw is raised as itself; the
+    draw made after the last step is waited for but never used.  Leaving
+    the pool's ``with`` block joins its worker on every exit.  The
+    series are bit-identical to those of a plain loop of ``step``.
     """
     guard = relaxation_dt_bound(model)
-    dt = guard if dt is None else float(dt)
+    dt = float(dt)
     if dt > guard * (1 + 1e-12):
         raise ValueError(
             f"dt={dt:g} exceeds the relaxation guard {guard:g}")

@@ -15,17 +15,19 @@ level controls the L2 truncation error gamma = ||g_M - (h - mu(h))||;
 the default level of eight L2 norms keeps gamma below one percent for
 the directions arising here.
 
-mu_delta is a ``GridMeasure`` on the rule of mu, as mu itself is: it
-shares mu's checked ``moment``, and its CDF is computed when read, once
-per call of the inverse-CDF sampler.
+One ``Perturbation`` holds h as a callable, M, the centering constant,
+gamma, g_M at the nodes and mu_delta, a plain ``GridMeasure`` on the
+rule of mu; ``g_M_at`` evaluates g_M one way at nodes, cells or samples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .spectrum import BranchAnalysis, SpectralBasis
+from .spectrum import BranchAnalysis
 from .stationary import GibbsMeasure, GridMeasure
 
 
@@ -33,8 +35,9 @@ def truncate_center(gibbs: GibbsMeasure, h, M: float):
     """Clamp a direction at +-M and recenter it under the measure.
 
     ``h`` holds the direction's values at the quadrature nodes.  Returns
-    the centered truncated direction there and the achieved L2(mu)
-    distance gamma to the centered original.
+    the centered truncated direction there, the centering constant
+    mu(clip(h, -M, M)) and the achieved L2(mu) distance gamma to the
+    centered original.
     """
     if M <= 0:
         raise ValueError("truncation level M must be positive")
@@ -42,31 +45,15 @@ def truncate_center(gibbs: GibbsMeasure, h, M: float):
     if hv.shape != gibbs.rule.nodes.shape:
         raise ValueError("direction values do not match the quadrature grid")
     clipped = np.clip(hv, -M, M)
-    g_M = clipped - gibbs.moment(clipped)
+    center = gibbs.moment(clipped)
+    g_M = clipped - center
     centered = hv - gibbs.moment(hv)
     gamma = float(np.sqrt(gibbs.moment((g_M - centered) ** 2)))
-    return g_M, gamma
+    return g_M, center, gamma
 
 
-def default_truncation_level(gibbs: GibbsMeasure, h) -> float:
-    """Clamp level of eight L2(mu) norms of the direction's node values."""
-    hv = np.asarray(h, dtype=float)
-    return 8.0 * float(np.sqrt(gibbs.moment(hv * hv)))
-
-
-@dataclass(frozen=True)
-class PerturbedMeasure(GridMeasure):
-    """The reweighted law (1 + delta g_M) mu on the base law's rule.
-
-    ``ratio`` is the density ratio 1 + delta g_M at the nodes; ``moment``
-    and the ``cdf`` computed on read are those of every ``GridMeasure``.
-    """
-
-    ratio: np.ndarray
-
-
-def perturbed_measure(gibbs: GibbsMeasure, g_M, delta: float) -> PerturbedMeasure:
-    """Reweight the base law by (1 + delta g_M).
+def perturbed_measure(gibbs: GibbsMeasure, g_M, delta: float) -> GridMeasure:
+    """The law (1 + delta g_M) mu on the base law's rule.
 
     Requires delta below 1/max|g_M| (the amplitude bound Delta_0), which
     keeps the density ratio strictly positive.
@@ -82,65 +69,62 @@ def perturbed_measure(gibbs: GibbsMeasure, g_M, delta: float) -> PerturbedMeasur
             raise ValueError(
                 f"amplitude delta={delta:g} is not below Delta_0="
                 f"1/max|g_M|={delta0:g}")
-    ratio = 1.0 + delta * g_M
-    return PerturbedMeasure(rule=gibbs.rule, density=ratio * gibbs.density,
-                            ratio=ratio)
+    return GridMeasure(rule=gibbs.rule,
+                       density=(1.0 + delta * g_M) * gibbs.density)
 
 
 @dataclass(frozen=True)
-class PerturbationSpec:
-    """Reusable description of one perturbation direction.
+class Perturbation:
+    """The perturbed law mu_delta = (1 + delta g_M) mu of one branch.
 
-    Keeps the direction as polynomial-basis coefficients so it can be
-    evaluated on any grid (particle positions, finite-volume cells) with
-    the clamp level and quadrature centering constant frozen.
+    ``h`` is the direction at arbitrary points, ``M`` its clamp level,
+    ``center`` = mu(clip(h, -M, M)), ``gamma`` the L2(mu) truncation
+    error, ``g_M`` the centered clamped direction at the quadrature
+    nodes and ``law`` mu_delta.
     """
 
-    basis: SpectralBasis
-    h_poly: np.ndarray
+    h: Callable[[np.ndarray], np.ndarray]
     M: float
     center: float
-    gamma_check: float
+    gamma: float
+    g_M: np.ndarray
+    law: GridMeasure
 
     def g_M_at(self, x) -> np.ndarray:
-        vals = self.basis.eval_series(self.h_poly, x)
-        return np.clip(vals, -self.M, self.M) - self.center
+        """clip(h, -M, M) - center at arbitrary points."""
+        return np.clip(self.h(x), -self.M, self.M) - self.center
 
 
 def make_perturbation(branch: BranchAnalysis, delta: float,
                       direction: str = "adjoint-re", M: float | None = None,
-                      custom_file: str | None = None):
+                      custom_file: str | None = None) -> Perturbation:
     """Build the perturbation of a branch along one direction.
 
-    Returns (PerturbationSpec, PerturbedMeasure).  "adjoint-re" takes
-    the dominant adjoint eigenvector, which is real.  "custom-file"
-    reads h from a CSV file with columns x,h, interpolated linearly onto
-    the quadrature nodes.  ``M=None`` selects
-    ``default_truncation_level``.
+    "adjoint-re" takes the dominant adjoint eigenvector, which is real,
+    as a basis series.  "custom-file" reads h from a CSV file with
+    columns x,h and interpolates it linearly, at the nodes and
+    everywhere else.  ``M=None`` clamps at eight L2(mu) norms of h.
     """
-    gibbs, basis = branch.gibbs, branch.basis
+    gibbs = branch.gibbs
     if direction == "custom-file":
         if not custom_file:
             raise ValueError("direction=custom-file needs custom_file=...")
         data = np.genfromtxt(custom_file, delimiter=",", names=True)
-        h_vals = np.interp(gibbs.rule.nodes, data["x"], data["h"])
-        mu = gibbs.rule.weights * gibbs.density
-        h_poly = (basis.node_values * mu) @ h_vals
+        h = partial(np.interp, xp=data["x"], fp=data["h"])
     elif direction == "adjoint-re":
         # the adjoint has no constant component (``unstable_mode``)
         coeff_eig = np.array(branch.mode.adjoint_vec, dtype=float)
         coeff_eig /= np.linalg.norm(coeff_eig)
-        h_poly = branch.spectrum.vectors @ coeff_eig
-        h_vals = h_poly @ basis.node_values
+        h = partial(branch.basis.eval_series,
+                    branch.spectrum.vectors @ coeff_eig)
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    h_vals = h(gibbs.rule.nodes)
     if M is None:
-        M = default_truncation_level(gibbs, h_vals)
-    g_M, gamma = truncate_center(gibbs, h_vals, M)
-    center = float(gibbs.moment(np.clip(h_vals, -M, M)))
-    spec = PerturbationSpec(basis=basis, h_poly=h_poly, M=float(M),
-                            center=center, gamma_check=gamma)
-    return spec, perturbed_measure(gibbs, g_M, delta)
+        M = 8.0 * float(np.sqrt(gibbs.moment(h_vals * h_vals)))
+    g_M, center, gamma = truncate_center(gibbs, h_vals, M)
+    return Perturbation(h=h, M=float(M), center=center, gamma=gamma, g_M=g_M,
+                        law=perturbed_measure(gibbs, g_M, delta))
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:

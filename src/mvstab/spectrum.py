@@ -71,9 +71,15 @@ class SpectralBasis:
         return P
 
     def eval_series(self, coeffs, x) -> np.ndarray:
-        """Evaluate sum_k coeffs[k] p_k at arbitrary points."""
-        coeffs = np.asarray(coeffs)
-        return coeffs @ self.eval_at(x)
+        """Evaluate sum_k coeffs[k] p_k at arbitrary points; 0 beyond the
+        quadrature nodes, where it would be an extrapolated polynomial
+        (up to 2e32 on rescaled_double_well's FP grid) over no mass."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        nodes = self.gibbs.rule.nodes
+        inside = (x >= nodes[0]) & (x <= nodes[-1])
+        out = np.zeros(x.shape)
+        out[inside] = np.asarray(coeffs) @ self.eval_at(x[inside])
+        return out
 
     def derivative_matrix(self) -> np.ndarray:
         """D with p_k' = sum_l D[k, l] p_l, so D[k, l] = <p_k', p_l>_mu.

@@ -93,8 +93,11 @@ def make_rule(model: ScalarMeanFieldModel, spec: GridSpec,
     """Quadrature rule for the model, with automatic truncation if asked.
 
     Wide domains (heavy-tailed families) get extra panels so the panel
-    width never exceeds 2.5 and the density bulk stays resolved.
+    width never exceeds 2.5 and the density bulk stays resolved.  A spec
+    of fewer than 256 nodes is refused.
     """
+    if spec.n_nodes < 256:
+        raise ValueError("grid resolution must be at least 256 nodes")
     L = spec.L if spec.L is not None else auto_half_width(model, m_values)
     n_panels = max(spec.n_panels, math.ceil(2.0 * L / 2.5))
     return composite_gauss_legendre(L, n_panels, spec.panel_degree)
@@ -201,8 +204,6 @@ def _family(model: ScalarMeanFieldModel, m: float,
             grid_spec: GridSpec | None = None) -> GibbsFamily:
     """The family on the spec's rule fitted to m."""
     grid_spec = grid_spec or GridSpec()
-    if grid_spec.n_nodes < 256:
-        raise ValueError("grid resolution must be at least 256 nodes")
     return GibbsFamily(model, make_rule(model, grid_spec, m_values=(m,)))
 
 

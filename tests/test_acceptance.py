@@ -19,7 +19,7 @@ from mvstab.fokkerplanck import (auto_grid, default_dt, discrete_stationary,
 from mvstab.metrics import w1_density, w1_empirical
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import dense_spectrum, find_roots, fit_exp_rate
-from mvstab.particles import evolve, make_ensemble
+from mvstab.particles import evolve, make_ensemble, relaxation_dt_bound
 from mvstab.perturb import make_perturbation, sample_measure
 from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
                              dirichlet_matrix, full_generator_matrix,
@@ -263,11 +263,10 @@ def test_c08_outer_branch_stability(dawson08):
     m_plus = rep.roots[-1]
     s0_plus = rep.s0_per_root[-1]
     delta = 1e-3
-    pspec, _ = make_perturbation(dawson08, delta=delta)
+    pert = make_perturbation(dawson08, delta=delta)
     grid = auto_grid(model, m_values=(0.0, 0.8), n_cells=1600)
     ss = discrete_stationary(model, grid, m_plus)
-    h_grid = np.clip(pspec.basis.eval_series(pspec.h_poly, grid.centers),
-                     -pspec.M, pspec.M)
+    h_grid = np.clip(pert.h(grid.centers), -pert.M, pert.M)
     g_M_grid = h_grid - float(np.dot(h_grid, ss.rho) * grid.dx)
     st = state_from_density(ss.rho * (1.0 + delta * g_M_grid), model, grid)
     x, ref_cdf = grid.centers, np.cumsum(ss.rho) * grid.dx
@@ -316,7 +315,7 @@ def test_c09_engine_agreement(dawson08):
         # stride counts steps of the default dt: particle records 2.6e-2
         # apart
         return evolve(make_ensemble(xs, model, seed=seed), model, t_end=5.0,
-                      stride=3)
+                      dt=relaxation_dt_bound(model), stride=3)
 
     # numpy releases the GIL in the particle step, so two threads halve
     # the wall time; runs are keyed by seed and do not depend on order
@@ -371,19 +370,22 @@ def test_c11_perturbation_construction(cosine_unstable_root):
     ok = True
     details = []
     for pipe in setups:
-        pspec, mu_d = make_perturbation(pipe, delta=delta)
-        mass = mu_d.moment(lambda x: np.ones_like(x))
-        g_M = pspec.g_M_at(pipe.gibbs.rule.nodes)
+        pert = make_perturbation(pipe, delta=delta)
+        mass = pert.law.moment(lambda x: np.ones_like(x))
+        g_M = pert.g_M_at(pipe.gibbs.rule.nodes)
         mean_gm = pipe.gibbs.moment(g_M)
-        bound = delta * pspec.M
+        bound = delta * pert.M
+        ratio = 1.0 + delta * pert.g_M
         ok_i = (abs(mass - 1.0) < 1e-12
-                and mu_d.ratio.min() > 1.0 - bound - 1e-12
-                and mu_d.ratio.max() < 1.0 + bound + 1e-12
+                and np.array_equal(pert.law.density,
+                                   ratio * pipe.gibbs.density)
+                and ratio.min() > 1.0 - bound - 1e-12
+                and ratio.max() < 1.0 + bound + 1e-12
                 and abs(mean_gm) < 1e-12
-                and pspec.gamma_check <= 0.01)
+                and pert.gamma <= 0.01)
         ok = ok and ok_i
         details.append(f"{pipe.gibbs.model.name}: mass-1={abs(mass - 1):.0e} "
-                       f"gamma={pspec.gamma_check:.1e}")
+                       f"gamma={pert.gamma:.1e}")
     el = time.perf_counter() - t0
     record(11, "bounded-ratio perturbations are admissible on every model",
            ok and el < 5.0, "; ".join(details) + f", {el:.1f}s")

@@ -228,6 +228,32 @@ class TestConfig:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("perturbation, message", [
+        # the file would be silently unread
+        ("custom_file = /nonexistent.csv",
+         "[perturbation] custom_file: direction = adjoint-re does not read "
+         "it"),
+        # refused at load, not after the branch search and the spectrum
+        ("direction = custom-file",
+         "[perturbation] custom_file: direction = custom-file needs it")])
+    def test_direction_file_mismatch_rejected(self, tmp_path, capsys,
+                                              perturbation, message):
+        cfg = write_cfg(tmp_path, t_end=0.5, perturbation=perturbation)
+        assert run("instability", cfg) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["stationary", "spectrum"])
+    def test_too_few_nodes_rejected_by_every_command(self, tmp_path, capsys,
+                                                     command):
+        # n_nodes = 100 at degree 120 lays out 2 panels of degree 124:
+        # 248 nodes
+        path = Path(write_cfg(tmp_path, degree=120))
+        path.write_text(path.read_text().replace("n_nodes = 2000",
+                                                 "n_nodes = 100"))
+        assert run(command, str(path)) == 1
+        assert "at least 256 nodes" in capsys.readouterr().err
+
 
 class TestEmptyScanWindow:
     """cosine at beta = 1 has its one branch near m = 0.52, outside

@@ -36,11 +36,11 @@ class TestChannelsAtStart:
         gibbs = dawson_sub.gibbs
         nodes = gibbs.rule.nodes
         fstar = dawson_sub.fstar_at(nodes)
-        _, mu_delta = make_perturbation(dawson_sub, DELTA)
-        xs = sample_measure(mu_delta, n, seed=seed)
-        assert pairing == pytest.approx(
-            np.mean(np.interp(xs, nodes, fstar)) - gibbs.moment(fstar),
-            rel=1e-12)
+        xs = sample_measure(make_perturbation(dawson_sub, DELTA).law, n,
+                            seed=seed)
+        pairing_0 = np.mean(np.interp(xs, nodes, fstar, left=0.0, right=0.0))
+        assert pairing == pytest.approx(pairing_0 - gibbs.moment(fstar),
+                                        rel=1e-12)
         assert w1 == pytest.approx(
             w1_density(nodes, empirical_cdf(xs, nodes), gibbs.cdf),
             rel=1e-12)
@@ -54,8 +54,8 @@ class TestChannelsAtStart:
                          n_cells=n_cells)
         x, dx = grid.centers, grid.dx
         ss = discrete_stationary(model, grid, dawson_sub.gibbs.m)
-        spec, _ = make_perturbation(dawson_sub, DELTA)
-        rho0 = state_from_density(ss.rho * (1.0 + DELTA * spec.g_M_at(x)),
+        pert = make_perturbation(dawson_sub, DELTA)
+        rho0 = state_from_density(ss.rho * (1.0 + DELTA * pert.g_M_at(x)),
                                   model, grid).rho
         assert pairing == pytest.approx(
             np.dot(dawson_sub.fstar_at(x), rho0 - ss.rho) * dx, rel=1e-12)

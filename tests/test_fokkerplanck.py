@@ -468,10 +468,10 @@ class TestEvolve:
     def test_perturbed_symmetric_state_escapes_monotonically(
             self, dawson08, dawson_sub):
         delta = 1e-3
-        pspec, _ = make_perturbation(dawson_sub, delta=delta)
+        pert = make_perturbation(dawson_sub, delta=delta)
         grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=800)
         ss = discrete_stationary(dawson08, grid, 0.0)
-        rho0 = ss.rho * (1.0 + delta * pspec.g_M_at(grid.centers))
+        rho0 = ss.rho * (1.0 + delta * pert.g_M_at(grid.centers))
         st = state_from_density(rho0, dawson08, grid)
         ts = fp_evolve(st, dawson08, grid, t_end=60.0, dt=1e-3, stride=50,
                        stop_condition=lambda t, m: abs(m) > 10 * delta)
@@ -483,10 +483,10 @@ class TestEvolve:
             self, dawson08, dawson_sub):
         delta = 1e-3
         lam = dawson_sub.mode.lambda_star
-        pspec, _ = make_perturbation(dawson_sub, delta=delta)
+        pert = make_perturbation(dawson_sub, delta=delta)
         grid = auto_grid(dawson08, m_values=(0.0, 0.8), n_cells=800)
         ss = discrete_stationary(dawson08, grid, 0.0)
-        rho0 = ss.rho * (1.0 + delta * pspec.g_M_at(grid.centers))
+        rho0 = ss.rho * (1.0 + delta * pert.g_M_at(grid.centers))
         st = state_from_density(rho0, dawson08, grid)
         fstar_grid = dawson_sub.fstar_at(grid.centers)
         fstar_inf = float(np.dot(fstar_grid, ss.rho) * grid.dx)

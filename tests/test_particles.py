@@ -85,8 +85,11 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         g = build_gibbs(mdl, 0.0)
         xs = sample_measure(g, 2000, seed=9)
-        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, stride=10)
-        b = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, stride=10)
+        dt = relaxation_dt_bound(mdl)
+        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, dt=dt,
+                   stride=10)
+        b = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, dt=dt,
+                   stride=10)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a["m"], b["m"])
 
@@ -94,8 +97,9 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         g = build_gibbs(mdl, 0.0)
         xs = sample_measure(g, 2000, seed=9)
-        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2)
-        b = evolve(make_ensemble(xs, mdl, seed=10), mdl, t_end=0.2)
+        dt = relaxation_dt_bound(mdl)
+        a = evolve(make_ensemble(xs, mdl, seed=9), mdl, t_end=0.2, dt=dt)
+        b = evolve(make_ensemble(xs, mdl, seed=10), mdl, t_end=0.2, dt=dt)
         assert not np.array_equal(a["m"], b["m"])
 
     def test_dt_guard_enforced(self):
@@ -125,7 +129,8 @@ class TestEvolve:
         g = build_gibbs(mdl, m_plus)
         n = 20_000
         xs = sample_measure(g, n, seed=5)
-        ts = evolve(make_ensemble(xs, mdl, seed=5), mdl, t_end=5.0, stride=20)
+        ts = evolve(make_ensemble(xs, mdl, seed=5), mdl, t_end=5.0,
+                    dt=relaxation_dt_bound(mdl), stride=20)
         var = g.moment(lambda x: x * x) - m_plus ** 2
         se = np.sqrt(var / n)
         assert np.abs(ts["m"] - m_plus).max() <= 5 * se
@@ -134,7 +139,7 @@ class TestEvolve:
         mdl = dawson_model(beta=1.0, sigma=0.7)
         xs = np.linspace(-1, 1, 100)
         ts = evolve(make_ensemble(xs, mdl, seed=1), mdl, t_end=0.05,
-                    observe=lambda e: {
+                    dt=relaxation_dt_bound(mdl), observe=lambda e: {
                         "x2": float(np.mean(e.positions * e.positions))},
                     stride=5)
         assert "x2" in ts.channels
@@ -217,7 +222,7 @@ class TestNoiseAhead:
             return replace(new, step_index=new.step_index + 1)
         monkeypatch.setattr(particles, "step", skipping)
         with pytest.raises(RuntimeError, match="drawn for"):
-            evolve(ens, mdl, t_end=0.05)
+            evolve(ens, mdl, t_end=0.05, dt=relaxation_dt_bound(mdl))
 
     @staticmethod
     def run_joined(fn, timeout=120.0):
@@ -267,6 +272,8 @@ class TestNoiseAhead:
             def observe(e):
                 raise err
             kw["observe"] = observe
+
+        kw["dt"] = relaxation_dt_bound(mdl)
 
         def run():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -373,7 +380,7 @@ class TestAgainstMeanFieldOracle:
         from mvstab.perturb import make_perturbation
         mdl = dawson_sub.gibbs.model
         delta = 1e-2
-        _, mu_d = make_perturbation(dawson_sub, delta=delta)
+        mu_d = make_perturbation(dawson_sub, delta=delta).law
         n = 20_000
         # at N = 2e4 noise dominates the unstable mode's amplitude, so the
         # escape time depends on the path: over seeds 0-47 it spans
@@ -383,7 +390,8 @@ class TestAgainstMeanFieldOracle:
         xs = sample_measure(mu_d, n, seed=3)
         band = 10 * delta
         ts = evolve(make_ensemble(xs, mdl, seed=3), mdl, t_end=40.0,
-                    stride=3, stop_condition=lambda t, m: abs(m) > 2 * band)
+                    dt=relaxation_dt_bound(mdl), stride=3,
+                    stop_condition=lambda t, m: abs(m) > 2 * band)
         m = np.abs(ts["m"])
         assert m.max() > band            # left the band
         assert ts.times[-1] < 40.0       # well before the horizon
@@ -399,7 +407,7 @@ class TestAgainstMeanFieldOracle:
         for seed in range(64):
             xs = sample_measure(g, 2000, seed=100 + seed)
             ts = evolve(make_ensemble(xs, mdl, seed=100 + seed), mdl,
-                        t_end=0.5, stride=100)
+                        t_end=0.5, dt=relaxation_dt_bound(mdl), stride=100)
             finals.append(ts["m"][-1])
         finals = np.array(finals)
         se_mean = finals.std(ddof=1) / np.sqrt(finals.size)

@@ -7,9 +7,9 @@ from scipy.stats import norm
 
 from mvstab.metrics import w1_density
 from mvstab.model import cosine_model
-from mvstab.perturb import (default_truncation_level, make_perturbation,
-                            perturbed_measure, quantile_function,
-                            sample_measure, truncate_center)
+from mvstab.perturb import (make_perturbation, perturbed_measure,
+                            quantile_function, sample_measure,
+                            truncate_center)
 from mvstab.spectrum import analyze_branch
 from mvstab.stationary import GridSpec, build_gibbs
 
@@ -19,43 +19,49 @@ DELTA = 1e-2
 
 @pytest.fixture(scope="module")
 def setup(dawson_sub):
-    spec, mu_d = make_perturbation(dawson_sub, delta=DELTA)
-    return dawson_sub, spec, mu_d
+    pert = make_perturbation(dawson_sub, delta=DELTA)
+    return dawson_sub, pert, pert.law
 
 
 class TestTruncateCenter:
     def test_bounded_direction_only_recentered(self, dawson_sub):
         g = dawson_sub.gibbs
         h = np.sin(g.rule.nodes)
-        g_M, gamma = truncate_center(g, h, M=5.0)
+        g_M, center, gamma = truncate_center(g, h, M=5.0)
         assert np.allclose(g_M, h - g.moment(h), atol=1e-14)
+        assert center == g.moment(h)
         assert gamma == pytest.approx(0.0, abs=1e-13)
 
     def test_centering_exact(self, setup):
-        s, spec, _ = setup
-        g_M, _ = truncate_center(s.gibbs, spec.basis.eval_series(
-            spec.h_poly, s.gibbs.rule.nodes), spec.M)
+        s, pert, _ = setup
+        g_M, _, _ = truncate_center(s.gibbs, pert.h(s.gibbs.rule.nodes),
+                                    pert.M)
         assert s.gibbs.moment(g_M) == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_nonincreasing_in_M(self, dawson_sub):
         g = dawson_sub.gibbs
         h = g.rule.nodes ** 3        # unbounded direction
-        gammas = [truncate_center(g, h, M)[1] for M in (0.5, 1, 2, 4, 8, 16)]
+        gammas = [truncate_center(g, h, M)[2] for M in (0.5, 1, 2, 4, 8, 16)]
         assert all(a >= b - 1e-15 for a, b in zip(gammas, gammas[1:]))
 
-    def test_default_level_keeps_gamma_small(self, dawson_sub):
+    def test_default_level_keeps_gamma_small(self, dawson_sub, tmp_path):
         # for the direction classes used by the pipeline (adjoint
         # eigenvectors, low-degree observables) eight L2 norms clamp
         # only far-tail values; heavier-tailed directions need an
-        # explicit M through the config
+        # explicit M through the config.  The directions enter as CSV
+        # files on the nodes, read back exactly there by interpolation
         g = dawson_sub.gibbs
-        for h in (g.rule.nodes,
-                  np.sin(g.rule.nodes) + 0.5 * g.rule.nodes):
-            M = default_truncation_level(g, h)
+        x = g.rule.nodes
+        for i, h in enumerate((x, np.sin(x) + 0.5 * x)):
+            path = tmp_path / f"h{i}.csv"
+            np.savetxt(path, np.column_stack([x, h]), delimiter=",",
+                       header="x,h", comments="", fmt="%.17g")
+            pert = make_perturbation(dawson_sub, delta=1e-3,
+                                     direction="custom-file",
+                                     custom_file=str(path))
             norm = np.sqrt(g.moment(h * h))
-            assert M == pytest.approx(8 * norm)
-            _, gamma = truncate_center(g, h, M)
-            assert gamma < 0.01 * norm
+            assert pert.M == pytest.approx(8 * norm)
+            assert pert.gamma < 0.01 * norm
 
     def test_rejects_nonpositive_M(self, dawson_sub):
         with pytest.raises(ValueError, match="positive"):
@@ -66,7 +72,7 @@ class TestTruncateCenter:
 class TestPerturbedMeasure:
     def test_zero_amplitude_is_identity(self, dawson_sub):
         g = dawson_sub.gibbs
-        g_M, _ = truncate_center(g, np.sin(g.rule.nodes), 2.0)
+        g_M, _, _ = truncate_center(g, np.sin(g.rule.nodes), 2.0)
         mu = perturbed_measure(g, g_M, 0.0)
         assert np.array_equal(mu.density, g.density)
 
@@ -76,20 +82,22 @@ class TestPerturbedMeasure:
             1.0, abs=1e-12)
 
     def test_ratio_bounds(self, setup):
-        s, spec, mu_d = setup
-        bound = DELTA * spec.M
+        s, pert, mu_d = setup
+        bound = DELTA * pert.M
         assert bound < 1.0
-        assert mu_d.ratio.min() > 1.0 - bound - 1e-12
-        assert mu_d.ratio.max() < 1.0 + bound + 1e-12
-        assert mu_d.ratio.min() > 0.0
-        assert mu_d.ratio.max() < 2.0
+        ratio = 1.0 + DELTA * pert.g_M
+        assert np.array_equal(mu_d.density, ratio * s.gibbs.density)
+        assert ratio.min() > 1.0 - bound - 1e-12
+        assert ratio.max() < 1.0 + bound + 1e-12
+        assert ratio.min() > 0.0
+        assert ratio.max() < 2.0
 
     def test_observable_shift_identity(self, setup):
         # mu_delta(f) - mu(f) = delta * mu(g_M f) exactly, checked by
         # quadrature for polynomial observables
-        s, spec, mu_d = setup
+        s, pert, mu_d = setup
         x = s.gibbs.rule.nodes
-        g_M = spec.g_M_at(x)
+        g_M = pert.g_M_at(x)
         for f in (x, x ** 2, x ** 3 - x):
             got = mu_d.moment(f) - s.gibbs.moment(f)
             assert got == pytest.approx(DELTA * s.gibbs.moment(g_M * f),
@@ -97,7 +105,7 @@ class TestPerturbedMeasure:
 
     def test_linearity_in_delta(self, dawson_sub):
         g = dawson_sub.gibbs
-        g_M, _ = truncate_center(g, np.sin(g.rule.nodes), 2.0)
+        g_M, _, _ = truncate_center(g, np.sin(g.rule.nodes), 2.0)
         f = g.rule.nodes ** 2
         shifts = [perturbed_measure(g, g_M, d).moment(f) - g.moment(f)
                   for d in (1e-4, 1e-3, 1e-2)]
@@ -128,7 +136,7 @@ class TestPerturbedMeasure:
 
     def test_amplitude_bound_cites_delta0(self, dawson_sub):
         g = dawson_sub.gibbs
-        g_M, _ = truncate_center(g, g.rule.nodes ** 3, 4.0)
+        g_M, _, _ = truncate_center(g, g.rule.nodes ** 3, 4.0)
         delta0 = 1.0 / np.abs(g_M).max()
         with pytest.raises(ValueError, match="Delta_0"):
             perturbed_measure(g, g_M, 1.01 * delta0)
@@ -136,9 +144,27 @@ class TestPerturbedMeasure:
 
 class TestMakePerturbation:
     def test_gamma_check_small_for_adjoint(self, setup):
-        s, spec, _ = setup
+        s, pert, _ = setup
         # direction is normalized in L2, so the target is 1 percent of 1
-        assert spec.gamma_check < 0.01
+        assert pert.gamma < 0.01
+
+    def test_custom_direction_read_one_way(self, dawson_sub, tmp_path):
+        # the CSV direction is interpolated everywhere, not projected on
+        # the basis, so g_M_at reads at the nodes the g_M the law is
+        # built from
+        x = np.linspace(-3.0, 3.0, 121)
+        h = x + 0.3 * x ** 2
+        path = tmp_path / "dir.csv"
+        np.savetxt(path, np.column_stack([x, h]), delimiter=",",
+                   header="x,h", comments="")
+        pert = make_perturbation(dawson_sub, delta=1e-3,
+                                 direction="custom-file",
+                                 custom_file=str(path))
+        nodes = dawson_sub.gibbs.rule.nodes
+        assert np.array_equal(pert.h(nodes), np.interp(nodes, x, h))
+        assert np.array_equal(pert.g_M_at(nodes), pert.g_M)
+        assert np.array_equal(pert.law.density, (1.0 + 1e-3 * pert.g_M)
+                              * dawson_sub.gibbs.density)
 
     def test_unknown_direction(self, dawson_sub):
         with pytest.raises(ValueError, match="unknown direction"):
@@ -187,8 +213,8 @@ class TestSampleMeasure:
         if law == "gibbs_m05":
             meas = build_gibbs(dawson_sub.gibbs.model, 0.5)
         else:
-            _, meas = make_perturbation(analyze_branch(dawson_sub.gibbs, 120),
-                                        delta=1e-3)
+            meas = make_perturbation(analyze_branch(dawson_sub.gibbs, 120),
+                                     delta=1e-3).law
         k = 2 ** 22
         xq = quantile_function(meas)((np.arange(k) + 0.5) / k)
         assert abs(xq.mean() - meas.moment(lambda x: x)) < 1e-8
@@ -235,7 +261,7 @@ class TestDualNormScaling:
         # exponent 0) must scale linearly with the amplitude; the node
         # CDFs are linear in delta, so only rounding breaks the ratio
         g = dawson_sub.gibbs
-        g_M, _ = truncate_center(g, np.sin(g.rule.nodes), 2.0)
+        g_M, _, _ = truncate_center(g, np.sin(g.rule.nodes), 2.0)
         vals = [w1_density(g.rule.nodes, perturbed_measure(g, g_M, d).cdf,
                            g.cdf) for d in (1e-4, 1e-3, 1e-2)]
         assert vals[1] / vals[0] == pytest.approx(10.0, rel=1e-9)

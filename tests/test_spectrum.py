@@ -85,6 +85,19 @@ class TestBuildBasis:
         scale = np.abs(b.node_values).max(axis=1, keepdims=True)
         assert (np.abs(P - b.node_values) / scale).max() < 1e-9
 
+    def test_eval_series_zero_beyond_the_nodes(self, dawson_sub):
+        # the series is fitted to the law on the nodes: between them it
+        # is the polynomial, beyond them 0, not an extrapolation
+        b = dawson_sub.basis
+        x = b.gibbs.rule.nodes
+        c = dawson_sub.spectrum.vectors[:, 1]
+        inside = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+        assert np.array_equal(b.eval_series(c, inside),
+                              c @ b.eval_at(inside))
+        beyond = np.array([x[0] - 5.0, np.nextafter(x[0], -np.inf),
+                           np.nextafter(x[-1], np.inf), x[-1] + 5.0])
+        assert np.array_equal(b.eval_series(c, beyond), np.zeros(4))
+
     def test_degree_beyond_quadrature_rejected(self):
         g = build_gibbs(dawson_model(1.0, 0.6), 0.0,
                         GridSpec(panel_degree=40))
