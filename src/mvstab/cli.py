@@ -378,8 +378,7 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
                      n_cells=cfg.n_cells, n_particles=cfg.n_particles,
                      seed=cfg.seed, direction=cfg.direction, M=cfg.M,
                      custom_file=cfg.custom_file)
-    t, m, pair, w1 = (res.series.times, res.series["m"],
-                      res.series["pairing"], res.series["w1"])
+    t, m, pair, w1 = (res.series[k] for k in ("t", "m", "pairing", "w1"))
     files = [write_csv(cfg.directory, "series.csv",
                        ["t", "m", "fstar_pairing", "w1"], [t, m, pair, w1])]
     files.append(svg_line_plot(
@@ -388,30 +387,11 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
         [("|pairing|", t, np.abs(pair)),
          ("|m - m_root|", t, np.abs(m - res.m_center)),
          ("W1", t, w1)], logy=True))
-    report = {
-        "status": res.status,
-        "m_root": float(m_root),
-        "engine": cfg.engine,
-        "delta": cfg.delta,
-        "seed": cfg.seed,
-        "lambda_star": float(branch.mode.lambda_star),
-        "initial_pairing": res.initial_pairing,
-        "fitted_rate": res.fitted_rate,
-        "relative_error": res.relative_error,
-        "escape_time": res.escape_time,
-        "final_branch": res.final_branch,
-        "w1_initial": float(w1[0]),
-        "w1_final": float(w1[-1]),
-        "w1_at_escape": res.w1_at_escape,
-        "dt": res.dt,
-        "steps": res.steps,
-    }
-    if cfg.engine == "fp":
-        report.update(step_error=res.step_error,
-                      fallback_steps=res.fallback_steps,
-                      mass_drift=res.mass_drift)
-    _finish(cfg, "instability", model, report, files)
-    if res.status == "inconclusive":
+    _finish(cfg, "instability", model, {
+        "m_root": float(m_root), "engine": cfg.engine, "delta": cfg.delta,
+        "seed": cfg.seed, "lambda_star": float(branch.mode.lambda_star),
+        **res.report}, files)
+    if res.report["status"] == "inconclusive":
         print("inconclusive: the pairing did not grow across the fit "
               "window [2|c0|, 10|c0|] (fewer than three records in it, or "
               "a fitted slope <= 0)")

@@ -1,5 +1,7 @@
 """Escape of a perturbed stationary branch, run on either engine: the
-transport solver ("fp") or the interacting particles ("particles")."""
+transport solver ("fp") or the interacting particles ("particles").
+``escape_run`` owns the run's report: it returns the record arrays and
+the run's block of ``instability.json``, which the CLI writes as is."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,7 +11,7 @@ import numpy as np
 
 from .fokkerplanck import (auto_grid, default_dt, discrete_stationary,
                            fp_evolve, state_from_density)
-from .metrics import TimeSeries, empirical_cdf, w1_density
+from .metrics import empirical_cdf, w1_density
 from .numerics import fit_exp_rate
 from .particles import evolve, make_ensemble, relaxation_dt_bound
 from .perturb import make_perturbation, sample_measure
@@ -20,35 +22,22 @@ from .spectrum import BranchAnalysis
 class EscapeResult:
     """What one escape run measured.
 
-    ``series`` is the engine's own series.  Each record is one
-    observation of the engine state, with the channels ``m``,
-    ``pairing`` (f_star pairing minus its value on the branch) and
-    ``w1`` (transport distance to the branch); "fp" adds its
-    ``step_error``, ``fallback_steps`` and ``mass_drift`` channels.
-    ``m_center`` is the engine's own branch statistic: the discrete
-    steady state for "fp", the root itself for "particles".  The rate
-    fields are None when ``status`` is "inconclusive".  ``dt`` and
-    ``steps`` describe the run on either engine.  The "fp" engine's own
-    fields are None for "particles": ``step_error``, the largest local
-    error estimate of ``FpStepper.step`` over the run,
-    ``fallback_steps``, the number of its steps that kept the two half
-    steps, and ``mass_drift``, the largest |mass - 1| over the records.
+    ``series`` is the engine's record: arrays keyed ``t``, ``m``,
+    ``pairing`` (f_star pairing minus its value on the branch), ``w1``
+    (transport distance to the branch) and, on "fp", ``step_error``,
+    ``fallback_steps`` and ``mass_drift``.  ``m_center`` is the engine's
+    own branch statistic: the discrete steady state for "fp", the root
+    for "particles".  ``report`` is the run's block of
+    ``instability.json``: the rate fields are None when inconclusive,
+    the escape fields None without escape, and "fp" adds its account of
+    the run: the last ``step_error`` (the largest local error estimate
+    of ``FpStepper.step``) and ``fallback_steps``, the largest
+    ``mass_drift``.
     """
 
-    status: str
+    series: dict[str, np.ndarray]
     m_center: float
-    initial_pairing: float
-    series: TimeSeries
-    escape_time: float | None
-    w1_at_escape: float | None
-    final_branch: float
-    fitted_rate: float | None
-    relative_error: float | None
-    dt: float
-    steps: int
-    step_error: float | None
-    fallback_steps: int | None
-    mass_drift: float | None
+    report: dict
 
 
 def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
@@ -119,41 +108,38 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
         raise ValueError(f"engine must be fp or particles, got {engine!r}")
     series = run(t_end=t_end, dt=dt, observe=observe, stride=stride,
                  stop_condition=lambda t, m: abs(m - m_center) > stop_level)
-    times, m_ser = series.times, series["m"]
-    pair, w1 = series["pairing"], series["w1"]
+    t, m, pair, w1 = (series[k] for k in ("t", "m", "pairing", "w1"))
 
-    escape = np.abs(m_ser - m_center) > band
-    side = np.sign(m_ser[-1] - m_center)
+    escape = np.abs(m - m_center) > band
+    side = np.sign(m[-1] - m_center)
     same_side = [r for r in roots
                  if abs(r - gibbs.m) > band and np.sign(r - m_center) == side]
     if escape.any() and same_side:
         # the branch being approached on the departure side
         final_branch = float(min(same_side, key=lambda r: abs(r - m_center)))
     else:
-        final_branch = float(min(roots, key=lambda r: abs(r - m_ser[-1])))
+        final_branch = float(min(roots, key=lambda r: abs(r - m[-1])))
 
     apair = np.abs(pair)
     window = (apair >= 2 * abs(c0)) & (apair <= 10 * abs(c0))
-    fitted = rel_err = None
-    if c0 != 0 and window.sum() >= 3:
-        slope = fit_exp_rate(times, apair, (float(times[window][0]),
-                                            float(times[window][-1])))
-        # a pairing that does not grow across the window has no rate
-        if slope > 0:
-            fitted = slope
-            lam = branch.mode.lambda_star
-            rel_err = abs(fitted - lam) / lam
-    fp = engine == "fp"
-    step_error = float(series["step_error"][-1]) if fp else None
-    fallbacks = int(series["fallback_steps"][-1]) if fp else None
-    mass_drift = float(series["mass_drift"].max()) if fp else None
-    return EscapeResult(
-        status="inconclusive" if fitted is None else "ok",
-        m_center=float(m_center), initial_pairing=float(c0),
-        series=series,
-        escape_time=float(times[escape][0]) if escape.any() else None,
-        w1_at_escape=float(w1[escape][0]) if escape.any() else None,
-        final_branch=final_branch, fitted_rate=fitted,
-        relative_error=rel_err, dt=dt, steps=int(round(times[-1] / dt)),
-        step_error=step_error, fallback_steps=fallbacks,
-        mass_drift=mass_drift)
+    slope = (fit_exp_rate(t, apair, (float(t[window][0]),
+                                     float(t[window][-1])))
+             if c0 != 0 and window.sum() >= 3 else 0.0)
+    # a pairing that does not grow across the window has no rate
+    ok, lam = slope > 0, branch.mode.lambda_star
+    report = {
+        "status": "ok" if ok else "inconclusive",
+        "initial_pairing": float(c0),
+        "fitted_rate": slope if ok else None,
+        "relative_error": abs(slope - lam) / lam if ok else None,
+        "escape_time": float(t[escape][0]) if escape.any() else None,
+        "w1_at_escape": float(w1[escape][0]) if escape.any() else None,
+        "final_branch": final_branch,
+        "w1_initial": float(w1[0]), "w1_final": float(w1[-1]),
+        "dt": dt, "steps": int(round(t[-1] / dt))}
+    if engine == "fp":
+        report.update(step_error=float(series["step_error"][-1]),
+                      fallback_steps=int(series["fallback_steps"][-1]),
+                      mass_drift=float(series["mass_drift"].max()))
+    return EscapeResult(series=series, m_center=float(m_center),
+                        report=report)

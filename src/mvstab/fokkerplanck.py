@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import TimeSeries, record_run
+from .metrics import record_run
 from .model import ScalarMeanFieldModel
 from .numerics import find_roots
 from .stationary import auto_half_width
@@ -304,7 +304,7 @@ def fp_evolve(state: FpState, model: ScalarMeanFieldModel, grid: FpGrid, *,
               observe: Callable[[FpState], dict] | None = None,
               stride: int = 1,
               stop_condition: Callable[[float, float], bool] | None = None
-              ) -> TimeSeries:
+              ) -> dict[str, np.ndarray]:
     """Evolve by steps of ``dt`` through ``metrics.record_run`` with the
     keywords of the particle engine's ``evolve``.
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import TimeSeries, record_run
+from .metrics import record_run
 from .model import ScalarMeanFieldModel
 
 
@@ -168,7 +168,7 @@ def evolve(ensemble: Ensemble, model: ScalarMeanFieldModel, *,
            observe: Callable[[Ensemble], dict] | None = None,
            stride: int = 1,
            stop_condition: Callable[[float, float], bool] | None = None
-           ) -> TimeSeries:
+           ) -> dict[str, np.ndarray]:
     """Run the particle system through ``metrics.record_run``.
 
     ``observe`` maps an ensemble to the dict of its record's channels;

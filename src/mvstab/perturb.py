@@ -95,6 +95,24 @@ class Perturbation:
         return np.clip(self.h(x), -self.M, self.M) - self.center
 
 
+def _read_direction(path: str) -> Callable[[np.ndarray], np.ndarray]:
+    """h from a CSV file with columns x,h, interpolated linearly.  The
+    file must hold two or more rows of finite values, x strictly
+    increasing."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    if not {"x", "h"} <= set(data.dtype.names or ()):
+        problem = "needs the columns x and h"
+    elif data.size < 2:
+        problem = "needs at least two rows"
+    elif not (np.isfinite(data["x"]).all() and np.isfinite(data["h"]).all()):
+        problem = "holds a value that is not finite"
+    elif not (np.diff(data["x"]) > 0).all():
+        problem = "needs x strictly increasing"
+    else:
+        return partial(np.interp, xp=data["x"], fp=data["h"])
+    raise ValueError(f"custom_file {path!r} {problem}")
+
+
 def make_perturbation(branch: BranchAnalysis, delta: float,
                       direction: str = "adjoint-re", M: float | None = None,
                       custom_file: str | None = None) -> Perturbation:
@@ -103,14 +121,14 @@ def make_perturbation(branch: BranchAnalysis, delta: float,
     "adjoint-re" takes the dominant adjoint eigenvector, which is real,
     as a basis series.  "custom-file" reads h from a CSV file with
     columns x,h and interpolates it linearly, at the nodes and
-    everywhere else.  ``M=None`` clamps at eight L2(mu) norms of h.
+    everywhere else, and refuses a malformed file.  ``M=None`` clamps at
+    eight L2(mu) norms of h.
     """
     gibbs = branch.gibbs
     if direction == "custom-file":
         if not custom_file:
             raise ValueError("direction=custom-file needs custom_file=...")
-        data = np.genfromtxt(custom_file, delimiter=",", names=True)
-        h = partial(np.interp, xp=data["x"], fp=data["h"])
+        h = _read_direction(custom_file)
     elif direction == "adjoint-re":
         # the adjoint has no constant component (``unstable_mode``)
         coeff_eig = np.array(branch.mode.adjoint_vec, dtype=float)

@@ -275,15 +275,6 @@ def solve_secular(lj: np.ndarray, a: np.ndarray,
                      f"|S - 1| = {abs(res):.2e} in [{lo:.6e}, {hi:.6e}]")
 
 
-def full_generator_matrix(spectrum: EigenSystem,
-                          coupling: RankOneCoupling) -> np.ndarray:
-    """Matrix of L + A in the eigenbasis: diag(-lambda) + beta phi ell^T."""
-    if coupling.phi_hat.size != spectrum.values.size:
-        raise ValueError("spectrum and coupling have mismatched dimensions")
-    return (np.diag(-spectrum.values)
-            + coupling.beta * np.outer(coupling.phi_hat, coupling.ell))
-
-
 @dataclass(frozen=True)
 class UnstableMode:
     """Dominant spectral data of the linearized generator.
@@ -399,31 +390,3 @@ def analyze_branch(gibbs: GibbsMeasure, degree: int) -> BranchAnalysis:
     return BranchAnalysis(basis=basis, spectrum=spectrum, coupling=coupling,
                           mode=unstable_mode(spectrum, coupling))
 
-
-def linearized_propagate(M: np.ndarray, coeffs: np.ndarray,
-                         t: float) -> np.ndarray:
-    """Apply exp(t M) to a coefficient vector (scaling and squaring).
-
-    When M carries the exact zero row and column of the constant mode the
-    propagation is done on the complementary block, which preserves that
-    mode exactly.  Only tests call it, so scipy is imported here rather
-    than on the start-up path of every command.
-    """
-    import scipy.linalg
-
-    M = np.asarray(M, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    if M.shape[0] != coeffs.shape[0]:
-        raise ValueError("matrix and coefficient sizes do not match")
-    absc = float(np.linalg.eigvals(M).real.max())
-    if t * absc > 700.0:
-        raise OverflowError(
-            f"t * abscissa = {t * absc:.1f} exceeds 700; the propagated "
-            "amplitude overflows double precision")
-    if np.all(M[0] == 0.0) and np.all(M[:, 0] == 0.0):
-        out = coeffs.copy().astype(float)
-        out[1:] = scipy.linalg.expm(t * M[1:, 1:]) @ coeffs[1:]
-        return out
-    return scipy.linalg.expm(t * M) @ coeffs

@@ -16,16 +16,18 @@ import pytest
 from mvstab.escape import escape_run
 from mvstab.fokkerplanck import (auto_grid, default_dt, discrete_stationary,
                                  fp_evolve, state_from_density)
-from mvstab.metrics import w1_density, w1_empirical
+from mvstab.metrics import w1_density
 from mvstab.model import cosine_model, dawson_model, rescaled_double_well_model
 from mvstab.numerics import dense_spectrum, find_roots, fit_exp_rate
 from mvstab.particles import evolve, make_ensemble, relaxation_dt_bound
 from mvstab.perturb import make_perturbation, sample_measure
 from mvstab.spectrum import (analyze_branch, base_spectrum, build_basis,
-                             dirichlet_matrix, full_generator_matrix,
-                             linearized_propagate)
+                             dirichlet_matrix)
 from mvstab.stationary import (GridSpec, build_gibbs, critical_sigma, psi,
                                self_consistent_roots)
+
+from reference import (full_generator_matrix, init_from_model,
+                       linearized_propagate, w1_empirical)
 
 SIGMA_C = 0.9559775949676983          # frozen bisection value, checked in c4
 _LINES: list[str] = []
@@ -175,7 +177,7 @@ def _fp_escape_run(branch, roots, delta, t_end=60.0):
     # 3.6e-2 apart
     res = escape_run(branch, roots, engine="fp", delta=delta, t_end=t_end,
                      stride=4, stop_band_factor=30.0)
-    return res.series.times, np.abs(res.series["pairing"])
+    return res.series["t"], np.abs(res.series["pairing"])
 
 
 def test_c06_linear_growth_rate(dawson08):
@@ -240,7 +242,8 @@ def test_c07_particle_escape(dawson08):
         out = np.abs(m) > band
         exited = bool(out.any())
         exits += exited
-        sign_match = exited and np.sign(m[-1]) == np.sign(res.initial_pairing)
+        sign_match = exited and (np.sign(m[-1])
+                                 == np.sign(res.report["initial_pairing"]))
         signs_ok += sign_match
         ratio = float(w1[out][0] / w1[0]) if exited else 0.0
         ratio_ok += ratio > 10.0
@@ -302,7 +305,6 @@ def test_c09_engine_agreement(dawson08):
     n_runs = 8
     m_start = 0.5
     grid = auto_grid(model, m_values=(0.0, 0.8), n_cells=1600)
-    from reference import init_from_model
     st = init_from_model(model, grid, m_start)
     # stride counts steps of the default dt: FP records 8.9e-2 apart
     fp = fp_evolve(st, model, grid, t_end=5.0, dt=default_dt(model, grid),
@@ -322,7 +324,7 @@ def test_c09_engine_agreement(dawson08):
     with ThreadPoolExecutor(max_workers=2) as ex:
         runs = list(ex.map(run, range(n_runs)))
     m_runs = np.array([ts["m"] for ts in runs])
-    ref = np.interp(runs[0].times, fp.times, fp["m"])
+    ref = np.interp(runs[0]["t"], fp["t"], fp["m"])
     se = m_runs.std(axis=0, ddof=1) / math.sqrt(n_runs)
     z = np.abs(m_runs.mean(axis=0) - ref) / se
     el = time.perf_counter() - t0

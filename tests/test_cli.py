@@ -70,6 +70,12 @@ def load_report_schema() -> dict:
 
 
 REPORT_SCHEMA = load_report_schema()
+# every key an "ok" or "inconclusive" FP instability.json holds: the
+# schema's instability properties and the envelope's version and model
+INSTABILITY_KEYS = {"schema_version", "model"} | set(next(
+    kind["properties"] for kind in REPORT_SCHEMA["oneOf"]
+    if kind["properties"]["command"] == {"const": "instability"}))
+FP_ONLY_KEYS = {"step_error", "fallback_steps", "mass_drift"}
 
 
 def run(cmd, cfg, *extra):
@@ -331,9 +337,8 @@ class TestStationaryCommand:
 
     def test_no_schema_check_at_run_time(self, tmp_path):
         # run() validates the reports; the program needs numpy at run
-        # time and scipy only for the FP engine's dgtsv and for
-        # linearized_propagate, so a fresh interpreter never imports
-        # jsonschema
+        # time and scipy only for the FP engine's dgtsv, so a fresh
+        # interpreter never imports jsonschema
         codes, loaded = fresh_main(write_cfg(tmp_path), "stationary")
         assert codes == [0]
         assert "jsonschema" not in loaded
@@ -401,6 +406,7 @@ class TestInstabilityCommand:
         # what the scheme did: every step extrapolated, mass kept
         assert rep["fallback_steps"] == 0
         assert 0.0 <= rep["mass_drift"] < 1e-12
+        assert rep.keys() == INSTABILITY_KEYS
         series = np.genfromtxt(tmp_path / "out" / "series.csv",
                                delimiter=",", names=True)
         assert set(series.dtype.names) == {"t", "m", "fstar_pairing", "w1"}
@@ -446,6 +452,8 @@ class TestInstabilityCommand:
         assert run("instability", cfg) == 0
         rep = report(tmp_path, "instability.json")
         assert rep["status"] == "no-unstable-mode"
+        assert rep.keys() == {"schema_version", "command", "model",
+                              "status", "m_root"}
         assert "no unstable mode" in capsys.readouterr().out
 
     @pytest.mark.parametrize("engine", ["fp", "particles"])
@@ -500,19 +508,24 @@ class TestInstabilityCommand:
             # takes every step to t_end
             assert rep["dt"] == guard
             assert rep["steps"] == math.ceil(1.0 / guard)
-            assert not {"step_error", "fallback_steps",
-                        "mass_drift"} & rep.keys()
+            assert rep.keys() == INSTABILITY_KEYS - FP_ONLY_KEYS
             series.append((tmp_path / "out" / "series.csv").read_bytes())
         assert series[0] != series[1]
 
 
+def nan_in_h(table):
+    table = table.copy()
+    table[5, 1] = np.nan
+    return table
+
+
 class TestCustomDirection:
     @staticmethod
-    def custom_cfg(tmp_path, M):
+    def custom_cfg(tmp_path, M, header="x,h", spoil=lambda table: table):
         x = np.linspace(-3.0, 3.0, 121)
         path = tmp_path / "dir.csv"
-        np.savetxt(path, np.column_stack([x, x + 0.3 * x ** 2]),
-                   delimiter=",", header="x,h", comments="")
+        np.savetxt(path, spoil(np.column_stack([x, x + 0.3 * x ** 2])),
+                   delimiter=",", header=header, comments="")
         return write_cfg(tmp_path, t_end=20.0, perturbation=(
             f"direction = custom-file\ncustom_file = {path}\nM = {M}"))
 
@@ -526,6 +539,20 @@ class TestCustomDirection:
         assert run("instability", self.custom_cfg(tmp_path, "0")) == 1
         assert ("error: [perturbation] M: must be positive or auto, got '0'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("header, spoil, problem", [
+        ("x,h", lambda table: table[::-1], "needs x strictly increasing"),
+        ("y,h", lambda table: table, "needs the columns x and h"),
+        ("x,h", nan_in_h, "holds a value that is not finite")],
+        ids=["x-decreasing", "no-x-column", "nan-in-h"])
+    def test_malformed_file_rejected(self, tmp_path, capsys, header, spoil,
+                                     problem):
+        cfg = self.custom_cfg(tmp_path, "auto", header, spoil)
+        assert run("instability", cfg) == 1
+        path = tmp_path / "dir.csv"
+        assert (f"error: custom_file {str(path)!r} {problem}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "instability.json").exists()
 
 
 class TestSweepCommand:

@@ -71,18 +71,18 @@ def test_fp_account_reads_the_whole_series(dawson_sub, roots, monkeypatch):
 
     def evolve_with_known_account(*args, **kw):
         series = fp_evolve(*args, **kw)
-        n = series.times.size
-        series.channels["fallback_steps"] = np.arange(n)
-        series.channels["mass_drift"] = np.where(np.arange(n) == n // 2,
-                                                 5e-15, 1e-15)
+        n = series["t"].size
+        series["fallback_steps"] = np.arange(n)
+        series["mass_drift"] = np.where(np.arange(n) == n // 2,
+                                        5e-15, 1e-15)
         return series
     monkeypatch.setattr(escape, "fp_evolve", evolve_with_known_account)
     res = escape_run(dawson_sub, roots, engine="fp", delta=DELTA, stride=1,
                      t_end=0.02, n_cells=200)
-    n = res.series.times.size
+    n = res.series["t"].size
     assert n > 2
-    assert res.fallback_steps == n - 1
-    assert res.mass_drift == 5e-15
+    assert res.report["fallback_steps"] == n - 1
+    assert res.report["mass_drift"] == 5e-15
 
 
 @pytest.mark.slow
@@ -107,7 +107,7 @@ def test_escape_time_ladder(dawson_sub, roots):
         # the crossing, interpolated in log|m - m_c| between two records
         # one step apart
         k = int(np.argmax(log_dist > np.log(0.05)))
-        t = res.series.times
+        t = res.series["t"]
         times.append(t[k - 1] + (t[k] - t[k - 1])
                      * (np.log(0.05) - log_dist[k - 1])
                      / (log_dist[k] - log_dist[k - 1]))

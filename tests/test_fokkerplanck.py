@@ -497,8 +497,8 @@ class TestEvolve:
         pair = np.abs(ts["fstar"] - fstar_inf)
         c0 = pair[0]
         inside = (pair >= 2 * c0) & (pair <= 10 * c0)
-        rate = fit_exp_rate(ts.times, pair,
-                            (ts.times[inside][0], ts.times[inside][-1]))
+        rate = fit_exp_rate(ts["t"], pair,
+                            (ts["t"][inside][0], ts["t"][inside][-1]))
         assert abs(rate - lam) / lam < 0.10
 
     def test_density_observers(self, dawson08):
@@ -511,7 +511,7 @@ class TestEvolve:
                        observe=lambda s: {
                            "mass": s.rho.sum() * grid.dx,
                            "g": np.dot(dawson08.g(x), s.rho) * grid.dx})
-        assert ts.times.size == 6
+        assert ts["t"].size == 6
         assert np.allclose(ts["mass"], 1.0, atol=1e-12)
         assert np.abs(ts["g"] - ts["m"]).max() < 1e-12
         # the engine's own channels: |mass - 1| and the fallback count,

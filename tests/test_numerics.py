@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mvstab.numerics import (QuadratureRule, composite_gauss_legendre,
                              dense_spectrum, find_roots, fit_exp_rate,
                              sym_eig)
-from mvstab.spectrum import full_generator_matrix
+
+from reference import full_generator_matrix
 
 
 def gaussian_rule(mean=0.0, L=9.0):

@@ -8,12 +8,12 @@ from mvstab.model import (build_model, dawson_model,
 from mvstab.numerics import EigenSystem, dense_spectrum, find_roots
 from mvstab.spectrum import (RankOneCoupling, analyze_branch, base_spectrum,
                              build_basis, coupling_vectors, dirichlet_matrix,
-                             full_generator_matrix, linearized_propagate,
                              secular_function, solve_secular, unstable_mode)
 from mvstab.stationary import (GibbsFamily, GridSpec, build_gibbs,
                                make_rule, self_consistent_roots)
 
 from conftest import SIGMA_C_DAWSON_BETA1
+from reference import full_generator_matrix, linearized_propagate
 
 
 def hermite_normalized(k, z):
