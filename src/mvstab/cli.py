@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .model import BUILTIN_MODELS, ScalarMeanFieldModel, build_model
+from .perturb import read_direction
 from .spectrum import analyze_branch, secular_function
 from .stationary import (GridSpec, build_gibbs, critical_sigma, psi,
                          self_consistent_roots)
@@ -77,6 +78,13 @@ _count = _positive(int, "a positive integer")
 _positive_float = _positive(float, "positive")
 
 
+def _at_least_two(raw):
+    value = int(raw)
+    if value < 2:
+        raise ValueError(f"must be an integer of at least 2, got {raw!r}")
+    return value
+
+
 # section -> key -> (parser that also checks the value, default as it would
 # be written in the file).  Key names are unique across sections; each
 # becomes one ExperimentConfig attribute.
@@ -90,7 +98,7 @@ CONFIG_KEYS = {
     "basis": {"degree": (_count, "120")},
     "stationary": {"scan_min": (_optional(_finite(float)), None),
                    "scan_max": (_optional(_finite(float)), None),
-                   "n_scan": (_count, "2001")},
+                   "n_scan": (_at_least_two, "2001")},
     "spectrum": {"root": (lambda raw: raw if raw == "all"
                           else _finite(float)(raw), "all")},
     "perturbation": {
@@ -105,7 +113,7 @@ CONFIG_KEYS = {
                    "seed": (_positive(int, "a nonnegative integer",
                                       zero_ok=True), "0"),
                    "stride": (_count, "25"),
-                   "n_cells": (_count, "1600"),
+                   "n_cells": (_at_least_two, "1600"),
                    "stop_band_factor": (_positive_float, "3.0")},
     "sweep": {"sigma_min": (_positive_float, "0.3"),
               "sigma_max": (_positive_float, "1.3"),
@@ -359,6 +367,10 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
     # command runs
     from .escape import escape_run
 
+    # a direction file is read, and refused if malformed, before any
+    # analysis runs; h = None perturbs along the adjoint
+    h = (read_direction(cfg.custom_file) if cfg.direction == "custom-file"
+         else None)
     model = cfg.build()
     rep = _branches(model, cfg, cfg.n_scan)
     _require_branch(rep, model)
@@ -368,16 +380,15 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
     if branch.mode.verdict != "unstable":
         _finish(cfg, "instability", model, {"status": "no-unstable-mode",
                                             "m_root": float(m_root)}, [])
-        print("no unstable mode: every branch has a nonpositive "
-              "spectral abscissa")
+        print("no unstable mode: the branch with the largest S0 has no "
+              "eigenvalue above 1e-7")
         return 0
 
     res = escape_run(branch, rep.roots, engine=cfg.engine, delta=cfg.delta,
                      t_end=cfg.t_end, stride=cfg.stride,
                      stop_band_factor=cfg.stop_band_factor, dt=cfg.dt,
                      n_cells=cfg.n_cells, n_particles=cfg.n_particles,
-                     seed=cfg.seed, direction=cfg.direction, M=cfg.M,
-                     custom_file=cfg.custom_file)
+                     seed=cfg.seed, h=h, M=cfg.M)
     t, m, pair, w1 = (res.series[k] for k in ("t", "m", "pairing", "w1"))
     files = [write_csv(cfg.directory, "series.csv",
                        ["t", "m", "fstar_pairing", "w1"], [t, m, pair, w1])]

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .fokkerplanck import (auto_grid, default_dt, discrete_stationary,
                            fp_evolve, state_from_density)
 from .metrics import empirical_cdf, w1_density
-from .numerics import fit_exp_rate
 from .particles import evolve, make_ensemble, relaxation_dt_bound
 from .perturb import make_perturbation, sample_measure
 from .spectrum import BranchAnalysis
@@ -44,26 +44,25 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
                t_end: float, stride: int, stop_band_factor: float = 3.0,
                dt: float | None = None, n_cells: int = 1600,
                n_particles: int = 100_000, seed: int = 0,
-               direction: str = "adjoint-re", M: float | None = None,
-               custom_file: str | None = None) -> EscapeResult:
+               h: Callable[[np.ndarray], np.ndarray] | None = None,
+               M: float | None = None) -> EscapeResult:
     """Perturb an unstable branch by delta, run one engine, fit the rate.
 
-    ``direction``, ``M`` and ``custom_file`` select the perturbation as
-    in ``make_perturbation``: "particles" samples its law, "fp" weights
-    the steady cells by 1 + delta ``g_M_at``, and f_star reads 0 beyond
-    the quadrature nodes on both.  ``roots`` are all stationary branches of
-    the model; they size the transport grid and name the branch the run
-    approaches.  The run escapes when |m - m_center| leaves the band
-    10 delta and stops beyond ``stop_band_factor`` bands.  The rate is
-    fitted while |pairing| crosses [2|c0|, 10|c0|], c0 = delta <g_M,
+    ``h`` and ``M`` select the perturbation as in ``make_perturbation``:
+    "particles" samples its law, "fp" weights the steady cells by
+    1 + delta ``g_M_at``, and f_star reads 0 beyond the quadrature nodes
+    on both.  ``roots`` are all stationary branches of the model; they
+    size the transport grid and name the branch the run approaches.  The
+    run escapes when |m - m_center| leaves the band 10 delta and stops
+    beyond ``stop_band_factor`` bands.  The rate is fitted on the
+    records whose |pairing| lies in [2|c0|, 10|c0|], c0 = delta <g_M,
     f_star> being the predicted initial pairing; fewer than three
     records there, or a fitted slope <= 0, make the run "inconclusive".
     ``dt=None`` picks each engine's default step, for "fp" with its
     growth-rate cap at lambda_star; ``n_cells`` applies to "fp",
     ``n_particles`` and ``seed`` to "particles".
     """
-    pert = make_perturbation(branch, delta, direction=direction, M=M,
-                             custom_file=custom_file)
+    pert = make_perturbation(branch, delta, h=h, M=M)
     gibbs, model = branch.gibbs, branch.gibbs.model
     nodes = gibbs.rule.nodes
     fstar_nodes = branch.fstar_at(nodes)
@@ -122,8 +121,7 @@ def escape_run(branch: BranchAnalysis, roots, *, engine: str, delta: float,
 
     apair = np.abs(pair)
     window = (apair >= 2 * abs(c0)) & (apair <= 10 * abs(c0))
-    slope = (fit_exp_rate(t, apair, (float(t[window][0]),
-                                     float(t[window][-1])))
+    slope = (float(np.polyfit(t[window], np.log(apair[window]), 1)[0])
              if c0 != 0 and window.sum() >= 3 else 0.0)
     # a pairing that does not grow across the window has no rate
     ok, lam = slope > 0, branch.mode.lambda_star

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Quadrature on a truncated real line, bracketed root finding, the dense
-symmetric eigensolve, and exponential-rate fitting.  ``dense_spectrum``,
+Quadrature on a truncated real line, bracketed root finding and the
+dense symmetric eigensolve.  ``dense_spectrum``,
 the general (nonsymmetric) eigensolve, is off the pipeline's path: the
 tests keep it as the independent reference for the spectral chain's
 structured secular solve.  Everything operates on plain numpy arrays;
@@ -181,27 +181,3 @@ def dense_spectrum(M: np.ndarray) -> DenseSpectrum:
     return DenseSpectrum(values=vals, left_vectors=np.conj(vr[:, order]),
                          abscissa=float(vals.real.max()))
 
-
-def fit_exp_rate(times, values, window: tuple[float, float]) -> float:
-    """Least-squares exponential growth rate of a positive series.
-
-    Fits log(values) ~ rate * t + const over the sub-series with t in
-    ``window`` and returns the slope.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValueError("times and values must be 1-D arrays of equal length")
-    mask = (t >= window[0]) & (t <= window[1])
-    if np.count_nonzero(mask) < 3:
-        raise ValueError(
-            f"need at least 3 points in window {window}, "
-            f"got {int(np.count_nonzero(mask))}")
-    tw, yw = t[mask], y[mask]
-    if np.any(yw <= 0):
-        bad = tw[yw <= 0]
-        raise ValueError(
-            f"series must be positive in the fit window; non-positive at "
-            f"t={np.array2string(bad, max_line_width=200)}")
-    slope, _ = np.polyfit(tw, np.log(yw), 1)
-    return float(slope)

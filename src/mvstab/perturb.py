@@ -95,11 +95,21 @@ class Perturbation:
         return np.clip(self.h(x), -self.M, self.M) - self.center
 
 
-def _read_direction(path: str) -> Callable[[np.ndarray], np.ndarray]:
+def read_direction(path: str) -> Callable[[np.ndarray], np.ndarray]:
     """h from a CSV file with columns x,h, interpolated linearly.  The
-    file must hold two or more rows of finite values, x strictly
-    increasing."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    file must exist and hold two or more rows of finite values, x
+    strictly increasing."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"custom_file {path!r} cannot be read: "
+                         f"{exc.strerror}") from None
+    if not any(line.replace("#", "").strip() for line in lines):
+        # genfromtxt would only warn on a file with no text beyond
+        # comment marks, then fail on the missing header
+        raise ValueError(f"custom_file {path!r} is empty")
+    data = np.genfromtxt(lines, delimiter=",", names=True)
     if not {"x", "h"} <= set(data.dtype.names or ()):
         problem = "needs the columns x and h"
     elif data.size < 2:
@@ -114,29 +124,22 @@ def _read_direction(path: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def make_perturbation(branch: BranchAnalysis, delta: float,
-                      direction: str = "adjoint-re", M: float | None = None,
-                      custom_file: str | None = None) -> Perturbation:
-    """Build the perturbation of a branch along one direction.
+                      h: Callable[[np.ndarray], np.ndarray] | None = None,
+                      M: float | None = None) -> Perturbation:
+    """Build the perturbation of a branch along the direction h.
 
-    "adjoint-re" takes the dominant adjoint eigenvector, which is real,
-    as a basis series.  "custom-file" reads h from a CSV file with
-    columns x,h and interpolates it linearly, at the nodes and
-    everywhere else, and refuses a malformed file.  ``M=None`` clamps at
-    eight L2(mu) norms of h.
+    ``h=None`` takes the dominant adjoint eigenvector, which is real, as
+    a basis series; any other h is evaluated as given, at the nodes and
+    everywhere else (``read_direction`` builds one from a CSV file).
+    ``M=None`` clamps at eight L2(mu) norms of h.
     """
     gibbs = branch.gibbs
-    if direction == "custom-file":
-        if not custom_file:
-            raise ValueError("direction=custom-file needs custom_file=...")
-        h = _read_direction(custom_file)
-    elif direction == "adjoint-re":
+    if h is None:
         # the adjoint has no constant component (``unstable_mode``)
         coeff_eig = np.array(branch.mode.adjoint_vec, dtype=float)
         coeff_eig /= np.linalg.norm(coeff_eig)
         h = partial(branch.basis.eval_series,
                     branch.spectrum.vectors @ coeff_eig)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     h_vals = h(gibbs.rule.nodes)
     if M is None:
         M = 8.0 * float(np.sqrt(gibbs.moment(h_vals * h_vals)))

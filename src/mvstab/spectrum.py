@@ -279,14 +279,15 @@ def solve_secular(lj: np.ndarray, a: np.ndarray,
 class UnstableMode:
     """Dominant spectral data of the linearized generator.
 
-    ``lambda_star`` is the positive secular root when one exists;
-    ``lambda0`` the dominant eigenvalue of the Galerkin mass-zero block,
-    which is real, with its cluster multiplicity ``k0`` (the number of
-    candidate eigenvalues within 1e-8 of it).  ``f_star`` holds
-    eigenbasis coefficients of the unstable observable (None when no
-    secular root), ``adjoint_vec`` the unit left eigenvector at lambda0,
-    used as the perturbation direction.  ``verdict`` is "unstable" when
-    lambda0 exceeds 1e-7, else "stable-indicator".
+    ``lambda_star`` is the secular root when it exceeds 1e-7, the one
+    threshold for "unstable", and None otherwise; ``lambda0`` the
+    dominant eigenvalue of the Galerkin mass-zero block, which is real,
+    with its cluster multiplicity ``k0`` (the number of candidate
+    eigenvalues within 1e-8 of it).  ``f_star`` holds eigenbasis
+    coefficients of the unstable observable (None with lambda_star),
+    ``adjoint_vec`` the unit left eigenvector at lambda0, used as the
+    perturbation direction.  ``verdict`` is "unstable" when lambda_star
+    is set, else "stable-indicator".
     """
 
     lambda_star: float | None
@@ -333,7 +334,7 @@ def unstable_mode(spectrum: EigenSystem,
     lam0 = max(candidates)
     k0 = sum(abs(c - lam0) < 1e-8 for c in candidates)
 
-    lam_star = root if root is not None and root > 1e-9 else None
+    lam_star = root if root is not None and root > 1e-7 else None
     f_star = None
     if lam_star is not None:
         f_star = np.zeros_like(coupling.phi_hat)
@@ -355,7 +356,7 @@ def unstable_mode(spectrum: EigenSystem,
     j = int(np.argmax(np.abs(u)))
     u *= np.sign(u[j]) / np.linalg.norm(u)
 
-    verdict = "unstable" if lam0 > 1e-7 else "stable-indicator"
+    verdict = "stable-indicator" if lam_star is None else "unstable"
     return UnstableMode(lambda_star=lam_star, lambda0=float(lam0), k0=int(k0),
                         f_star=f_star, adjoint_vec=u, verdict=verdict)
 

@@ -208,7 +208,8 @@ class TestConfig:
         ("spectrum", "root", "inf"), ("perturbation", "M", "nan"),
         ("perturbation", "M", "inf"), ("perturbation", "M", "0"),
         ("perturbation", "M", "-1"), ("simulation", "seed", "-1"),
-        ("perturbation", "direction", "adjoint-im")])
+        ("perturbation", "direction", "adjoint-im"),
+        ("stationary", "n_scan", "1"), ("simulation", "n_cells", "1")])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, capsys,
                                                section, key, value):
         path = Path(write_cfg(tmp_path, t_end=0.5))
@@ -553,6 +554,25 @@ class TestCustomDirection:
         assert (f"error: custom_file {str(path)!r} {problem}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out" / "instability.json").exists()
+
+    @pytest.mark.parametrize("text, problem", [
+        (None, "cannot be read: No such file or directory"),
+        ("", "is empty"), ("#\n", "is empty")],
+        ids=["missing", "empty", "comment-mark-only"])
+    def test_unreadable_file_rejected_before_analysis(
+            self, tmp_path, capsys, monkeypatch, text, problem):
+        searches = []
+        monkeypatch.setattr(cli, "self_consistent_roots",
+                            lambda *a, **kw: searches.append(a))
+        path = tmp_path / "dir.csv"
+        if text is not None:
+            path.write_text(text)
+        cfg = write_cfg(tmp_path, t_end=0.5, perturbation=(
+            f"direction = custom-file\ncustom_file = {path}"))
+        assert run("instability", cfg) == 1
+        assert (f"error: custom_file {str(path)!r} {problem}"
+                in capsys.readouterr().err)
+        assert searches == []
 
 
 class TestSweepCommand:

@@ -85,6 +85,28 @@ def test_fp_account_reads_the_whole_series(dawson_sub, roots, monkeypatch):
     assert res.report["mass_drift"] == 5e-15
 
 
+def test_rate_fitted_on_the_window_records_only(dawson_sub, roots,
+                                                monkeypatch):
+    # a pure e^{0.2 t} growth from c0 with one record between the first
+    # and the last in-window ones dipped below 2|c0|: the fit reads only
+    # the records whose |pairing| lies in [2|c0|, 10|c0|], so the dip
+    # does not move the rate
+    nodes = dawson_sub.gibbs.rule.nodes
+    pert = make_perturbation(dawson_sub, DELTA)
+    c0 = DELTA * dawson_sub.gibbs.moment(pert.g_M
+                                         * dawson_sub.fstar_at(nodes))
+    t = np.linspace(0.0, 15.0, 61)      # the window spans t = 3.5 .. 11.5
+    pairing = c0 * np.exp(0.2 * t)
+    pairing[28] = 1.5 * c0              # t = 7
+    monkeypatch.setattr(escape, "fp_evolve", lambda *a, **kw: dict(
+        t=t, pairing=pairing, **{k: np.zeros_like(t) for k in (
+            "m", "w1", "step_error", "fallback_steps", "mass_drift")}))
+    res = escape_run(dawson_sub, roots, engine="fp", delta=DELTA, stride=1,
+                     t_end=15.0, n_cells=200)
+    assert res.report["initial_pairing"] == c0
+    assert res.report["fitted_rate"] == pytest.approx(0.2, rel=1e-12)
+
+
 @pytest.mark.slow
 def test_escape_time_ladder(dawson_sub, roots):
     # the paper's instability statement as a measured law: from delta =

@@ -13,7 +13,6 @@ from mvstab.fokkerplanck import (FpGrid, FpState, FpStepper, SchemeError,
                                  discrete_stationary, fp_evolve,
                                  state_from_density)
 from mvstab.model import ScalarMeanFieldModel, dawson_model
-from mvstab.numerics import fit_exp_rate
 from mvstab.perturb import make_perturbation
 
 from conftest import SIGMA_C_DAWSON_BETA1
@@ -497,8 +496,7 @@ class TestEvolve:
         pair = np.abs(ts["fstar"] - fstar_inf)
         c0 = pair[0]
         inside = (pair >= 2 * c0) & (pair <= 10 * c0)
-        rate = fit_exp_rate(ts["t"], pair,
-                            (ts["t"][inside][0], ts["t"][inside][-1]))
+        rate = np.polyfit(ts["t"][inside], np.log(pair[inside]), 1)[0]
         assert abs(rate - lam) / lam < 0.10
 
     def test_density_observers(self, dawson08):

@@ -4,8 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mvstab.numerics import (QuadratureRule, composite_gauss_legendre,
-                             dense_spectrum, find_roots, fit_exp_rate,
-                             sym_eig)
+                             dense_spectrum, find_roots, sym_eig)
 
 from reference import full_generator_matrix
 
@@ -192,31 +191,3 @@ class TestDenseSpectrum:
                 assert np.linalg.norm(u.conj() @ M - lam * u.conj()) \
                     <= 1e-12 * scale
 
-
-class TestFitExpRate:
-    def test_pure_exponential(self):
-        t = np.linspace(0, 3, 50)
-        assert fit_exp_rate(t, 3 * np.exp(2 * t), (0, 3)) == pytest.approx(
-            2.0, abs=1e-12)
-
-    def test_constant(self):
-        t = np.linspace(0, 3, 20)
-        assert fit_exp_rate(t, np.full_like(t, 5.0), (0, 3)) == pytest.approx(
-            0.0, abs=1e-13)
-
-    def test_modulated_exponential(self):
-        # synthetic-series oracle: small multiplicative ripple shifts the
-        # slope by at most its relative amplitude
-        t = np.linspace(0, 10, 400)
-        y = np.exp(0.5 * t) * (1 + 0.01 * np.sin(t))
-        assert fit_exp_rate(t, y, (0, 10)) == pytest.approx(0.5, abs=0.01)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            fit_exp_rate([0, 1, 2], [1, 2, 3], (0.9, 1.1))
-
-    def test_nonpositive_lists_times(self):
-        t = np.array([0.0, 1.0, 2.0, 3.0])
-        y = np.array([1.0, -1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="t=\\[1\\."):
-            fit_exp_rate(t, y, (0, 3))

@@ -8,8 +8,8 @@ from scipy.stats import norm
 from mvstab.metrics import w1_density
 from mvstab.model import cosine_model
 from mvstab.perturb import (make_perturbation, perturbed_measure,
-                            quantile_function, sample_measure,
-                            truncate_center)
+                            quantile_function, read_direction,
+                            sample_measure, truncate_center)
 from mvstab.spectrum import analyze_branch
 from mvstab.stationary import GridSpec, build_gibbs
 
@@ -57,8 +57,7 @@ class TestTruncateCenter:
             np.savetxt(path, np.column_stack([x, h]), delimiter=",",
                        header="x,h", comments="", fmt="%.17g")
             pert = make_perturbation(dawson_sub, delta=1e-3,
-                                     direction="custom-file",
-                                     custom_file=str(path))
+                                     h=read_direction(str(path)))
             norm = np.sqrt(g.moment(h * h))
             assert pert.M == pytest.approx(8 * norm)
             assert pert.gamma < 0.01 * norm
@@ -158,17 +157,12 @@ class TestMakePerturbation:
         np.savetxt(path, np.column_stack([x, h]), delimiter=",",
                    header="x,h", comments="")
         pert = make_perturbation(dawson_sub, delta=1e-3,
-                                 direction="custom-file",
-                                 custom_file=str(path))
+                                 h=read_direction(str(path)))
         nodes = dawson_sub.gibbs.rule.nodes
         assert np.array_equal(pert.h(nodes), np.interp(nodes, x, h))
         assert np.array_equal(pert.g_M_at(nodes), pert.g_M)
         assert np.array_equal(pert.law.density, (1.0 + 1e-3 * pert.g_M)
                               * dawson_sub.gibbs.density)
-
-    def test_unknown_direction(self, dawson_sub):
-        with pytest.raises(ValueError, match="unknown direction"):
-            make_perturbation(dawson_sub, delta=1e-3, direction="sideways")
 
 
 class TestSampleMeasure:

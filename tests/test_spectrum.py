@@ -393,6 +393,20 @@ class TestUnstableMode:
         with pytest.raises(ValueError, match="change sign"):
             unstable_mode(spectrum, coupling)
 
+    def test_root_below_threshold_is_not_unstable(self):
+        # one pole at -1 of weight 1 + 5e-8 puts the secular root at
+        # 5e-8: below the 1e-7 threshold it carries no rate, no f_star
+        # and no "unstable" verdict
+        spectrum = EigenSystem(values=np.arange(3.0), vectors=np.eye(3))
+        coupling = RankOneCoupling(phi_hat=np.array([0.0, 1.0, 0.0]),
+                                   v_hat=np.zeros(3),
+                                   ell=np.array([0.0, 1.0 + 5e-8, 0.0]),
+                                   beta=1.0)
+        mode = unstable_mode(spectrum, coupling)
+        assert mode.lambda0 == pytest.approx(5e-8, rel=1e-6)
+        assert mode.lambda_star is None and mode.f_star is None
+        assert mode.verdict == "stable-indicator"
+
 
 STRUCTURED_CASES = [
     ("dawson", 1.0, 0.8 * SIGMA_C_DAWSON_BETA1),
